@@ -59,6 +59,16 @@ check:
 	$(GO) run ./cmd/sentrybench -check -seeds 256
 	$(GO) run ./cmd/sentrybench -check -seeds 256 -faults benign
 
+# run-twice writes the output of two invocations to $(1)-a.out and
+# $(1)-b.out and fails unless they are byte-identical.
+#   $(1) file stem, $(2) first invocation, $(3) second invocation
+define run-twice
+	$(2) > $(1)-a.out
+	$(3) > $(1)-b.out
+	diff $(1)-a.out $(1)-b.out
+	@rm -f $(1)-a.out $(1)-b.out
+endef
+
 # Cache-timing adversary sweep: Prime+Probe, Evict+Reload, and the
 # locked-way occupancy probe against every cache profile on both platforms.
 # The insecure placement must lose (with a replayable one-line repro), the
@@ -66,10 +76,7 @@ check:
 # occupancy probe must expose way-locking on tegra3 only. Run twice and
 # diffed — verdicts and repro lines must be byte-identical.
 attacks:
-	$(GO) run ./cmd/sentrybench -attacks -seeds 24 -j 0 > attacks-a.txt
-	$(GO) run ./cmd/sentrybench -attacks -seeds 24 -j 1 > attacks-b.txt
-	diff attacks-a.txt attacks-b.txt
-	@rm -f attacks-a.txt attacks-b.txt
+	$(call run-twice,attacks,$(GO) run ./cmd/sentrybench -attacks -seeds 24 -j 0,$(GO) run ./cmd/sentrybench -attacks -seeds 24 -j 1)
 
 # Adversarial fault-injection sweep: differential fault analysis against the
 # victim AES engine. The undefended DRAM placement must lose its full key
@@ -78,10 +85,7 @@ attacks:
 # win on the same seeds. Run twice at different worker widths and diffed —
 # verdicts and repro lines must be byte-identical.
 dfa:
-	$(GO) run ./cmd/sentrybench -dfa -seeds 24 -j 0 > dfa-a.txt
-	$(GO) run ./cmd/sentrybench -dfa -seeds 24 -j 1 > dfa-b.txt
-	diff dfa-a.txt dfa-b.txt
-	@rm -f dfa-a.txt dfa-b.txt
+	$(call run-twice,dfa,$(GO) run ./cmd/sentrybench -dfa -seeds 24 -j 0,$(GO) run ./cmd/sentrybench -dfa -seeds 24 -j 1)
 
 # Prefix-sharing schedule explorer: per platform, one defended snapshot-tree
 # sweep (must stay clean) plus the three positive controls (must each be
@@ -110,10 +114,7 @@ explore-record:
 # degradation). Run twice and diffed — the report must be byte-identical for
 # a fixed seed — plus a race-detector pass over the fleet package.
 soak:
-	$(GO) run ./cmd/sentrybench -fleet-soak -devices 32 -ops 300 -seed 1 -faults benign > soak-a.json
-	$(GO) run ./cmd/sentrybench -fleet-soak -devices 32 -ops 300 -seed 1 -faults benign > soak-b.json
-	diff soak-a.json soak-b.json
-	@rm -f soak-a.json soak-b.json
+	$(call run-twice,soak,$(GO) run ./cmd/sentrybench -fleet-soak -devices 32 -ops 300 -seed 1 -faults benign,$(GO) run ./cmd/sentrybench -fleet-soak -devices 32 -ops 300 -seed 1 -faults benign)
 	$(GO) test -race -count=1 ./internal/fleet/...
 
 # HTTP determinism: the soak workload through sentryd + sentryload, run with
@@ -132,11 +133,11 @@ throughput-guard:
 throughput-record:
 	sh scripts/throughput_guard.sh record
 
-# Fleet capacity smoke + memory guard: delta-parked and mid-reshard soaks
-# must report byte-identically to the plain soak, the delta encoding must
-# hold its >=5x reduction over full-snapshot parking, two runs must print
-# identical "scale:" lines, and the measured bytes per parked device must
-# stay within 25% of the keyed "scale" record in BENCH_wallclock.json.
+# Fleet capacity smoke + memory guard: a mid-reshard soak must report
+# byte-identically to the plain soak, two runs must print identical
+# "scale:" lines, and the measured bytes per delta-parked device must stay
+# within 25% of the keyed "scale" record in BENCH_wallclock.json. (The >=5x
+# delta-vs-full floor is TestDeltaParkingShrinksParkedBytes, run by `test`.)
 scale:
 	sh scripts/scale_guard.sh smoke
 	sh scripts/scale_guard.sh guard

@@ -23,13 +23,11 @@ const (
 )
 
 // runFleetScale is the capacity-claim smoke behind `make scale`: it proves
-// the two memory/topology mechanisms of the 10^6-device fleet are
-// behaviorally invisible (delta-parked and reshard-interrupted soaks report
-// byte-identically to the plain soak) and measures what they buy (resting
-// bytes per parked device, delta vs full). Every "scale:" line is
-// deterministic for a fixed seed. The measured delta footprint is recorded
-// to / guarded against the "scale" record of BENCH_wallclock.json, and the
-// >=5x reduction floor is enforced on every run.
+// live resharding is behaviorally invisible (a reshard-interrupted soak
+// reports byte-identically to the plain soak) and measures the resting
+// bytes per delta-parked device. Every "scale:" line is deterministic for a
+// fixed seed. The measured footprint is recorded to / guarded against the
+// "scale" record of BENCH_wallclock.json.
 func runFleetScale(devices, ops int, seed int64, wallOut, wallGuard string) bool {
 	start := time.Now()
 	cfg := fleet.SoakConfig{
@@ -37,22 +35,11 @@ func runFleetScale(devices, ops int, seed int64, wallOut, wallGuard string) bool
 		ResidentCap: nonZero(devices/4, 1), Shards: 4,
 	}
 
-	plain, ok := soakJSON(cfg, false, false)
+	plain, ok := soakJSON(cfg, false)
 	if !ok {
 		return false
 	}
-	full, ok := soakJSON(cfg, true, false)
-	if !ok {
-		return false
-	}
-	if string(plain) != string(full) {
-		fmt.Fprintln(os.Stderr, "sentrybench: delta-park and full-park soak reports diverge")
-		return false
-	}
-	fmt.Printf("scale: delta-park == full-park soak report (%d devices, %d ops each)\n",
-		cfg.Devices, cfg.OpsPerDevice)
-
-	resharded, ok := soakJSON(cfg, false, true)
+	resharded, ok := soakJSON(cfg, true)
 	if !ok {
 		return false
 	}
@@ -62,59 +49,39 @@ func runFleetScale(devices, ops int, seed int64, wallOut, wallGuard string) bool
 	}
 	fmt.Println("scale: reshard 4->8->16 mid-soak report byte-identical")
 
-	deltaPer, err := parkedBytesPerDevice(seed, false)
+	perDevice, err := parkedBytesPerDevice(seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sentrybench:", err)
 		return false
 	}
-	fullPer, err := parkedBytesPerDevice(seed, true)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sentrybench:", err)
-		return false
-	}
-	fmt.Printf("scale: parked footprint delta=%d B/device full=%d B/device (%.1fx reduction)\n",
-		deltaPer, fullPer, float64(fullPer)/float64(deltaPer))
-	if fullPer < 5*deltaPer {
-		fmt.Fprintf(os.Stderr, "sentrybench: delta parking reduction below the 5x floor (full %d, delta %d B/device)\n",
-			fullPer, deltaPer)
-		return false
-	}
+	fmt.Printf("scale: parked footprint %d B/device\n", perDevice)
 
 	run := &wallclock.Run{
-		Parallelism: 1, TotalSec: time.Since(start).Seconds(),
-		BytesPerDevice: deltaPer, BytesPerDeviceFull: fullPer,
+		Parallelism: 1, TotalSec: time.Since(start).Seconds(), BytesPerDevice: perDevice,
 	}
 	if wallOut != "" {
 		recordWallclock(wallOut, "scale", seed, run)
 	}
 	if wallGuard != "" {
-		msg, err := wallclock.GuardBytes(wallGuard, "scale", run)
-		if err != nil {
-			fatalf("wallclock-guard: %v", err)
-		}
-		fmt.Println("wallclock-guard:", msg)
+		guardWallclock(wallGuard, wallclock.Bound{Kind: "scale", Field: wallclock.ParkedBytes,
+			Limit: wallclock.Headroom}, run)
 	}
 	return true
 }
 
 // soakJSON runs the client-observed soak (fleet.SoakOn) against a fleet of
-// fixed geometry and returns the indented JSON report. The three variants —
-// delta parking (the default), full-snapshot parking, and delta parking
-// with two live reshards (4->8 once real traffic flows, then ->16) racing
-// the soak — must all report byte-identically; park encoding and topology
-// are memory/placement decisions, never behavioral ones. The resident cap
-// is fixed at 16 across variants: well under the device count (parks and
-// hydrations happen mid-soak) while still admitting the 16-shard target.
-func soakJSON(cfg fleet.SoakConfig, noDelta, reshard bool) ([]byte, bool) {
-	opts := []fleet.Option{
+// fixed geometry and returns the indented JSON report. The two variants —
+// a plain soak and one with two live reshards (4->8 once real traffic
+// flows, then ->16) racing it — must report byte-identically; topology is
+// a placement decision, never a behavioral one. The resident cap is fixed
+// at 16 across variants: well under the device count (parks and hydrations
+// happen mid-soak) while still admitting the 16-shard target.
+func soakJSON(cfg fleet.SoakConfig, reshard bool) ([]byte, bool) {
+	f := fleet.Open(cfg.Devices,
 		fleet.WithSeed(cfg.Seed),
 		fleet.WithShards(cfg.Shards),
 		fleet.WithResidentCap(16),
-	}
-	if noDelta {
-		opts = append(opts, fleet.WithNoDelta())
-	}
-	f := fleet.Open(cfg.Devices, opts...)
+	)
 	done := make(chan error, 1)
 	if reshard {
 		go func() {
@@ -161,14 +128,9 @@ func soakJSON(cfg fleet.SoakConfig, noDelta, reshard bool) ([]byte, bool) {
 // parkedBytesPerDevice opens the fixed measurement fleet, touches devices
 // spread across the ID space until well past the resident cap, waits for
 // every eviction's park to land, and reads the parked-bytes gauge.
-func parkedBytesPerDevice(seed int64, noDelta bool) (int64, error) {
-	opts := []fleet.Option{
-		fleet.WithSeed(seed), fleet.WithShards(4), fleet.WithResidentCap(scaleCap),
-	}
-	if noDelta {
-		opts = append(opts, fleet.WithNoDelta())
-	}
-	f := fleet.Open(scaleLogical, opts...)
+func parkedBytesPerDevice(seed int64) (int64, error) {
+	f := fleet.Open(scaleLogical,
+		fleet.WithSeed(seed), fleet.WithShards(4), fleet.WithResidentCap(scaleCap))
 	defer f.Stop()
 	ctx := context.Background()
 	for i := 0; i < scaleTouched; i++ {

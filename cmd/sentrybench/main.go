@@ -12,7 +12,6 @@
 //	sentrybench -check -wallclock-guard BENCH_wallclock.json    # fail if the checker outgrows its budget
 //	sentrybench -check -seeds 256       # invariant model-checker campaign
 //	sentrybench -check -faults benign   # ... with benign fault injection
-//	sentrybench -check -snapshot=off    # ... without the checkpoint/fork engine
 //	sentrybench -check -j 0             # ... campaign seeds on a worker pool
 //	sentrybench -attacks -seeds 24      # cache-timing adversary sweep: per-profile leak verdicts
 //	sentrybench -dfa -seeds 24          # fault-injection sweep: DFA key recovery vs placements and countermeasures
@@ -21,7 +20,7 @@
 //	sentrybench -explore -explore-corpus EXPLORE_corpus.txt        # seed the sweep from a corpus
 //	sentrybench -explore -explore-corpus-out EXPLORE_corpus.txt    # bank interesting prefixes
 //	sentrybench -fleet-soak -devices 32 -ops 300 -faults benign  # fleet chaos soak (JSON report)
-//	sentrybench -fleet-scale -devices 24 -ops 40   # capacity smoke: delta-park + reshard equivalence, parked-bytes measurement
+//	sentrybench -fleet-scale -devices 24 -ops 40   # capacity smoke: reshard equivalence, parked-bytes measurement
 //	sentrybench -replay "platform=tegra3 defences=no-lock-flush faults=none seed=4 ops=pressure:9360834,lock:12083332"
 package main
 
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"sentry/internal/bench"
-	"sentry/internal/check"
 	"sentry/internal/obs"
 	"sentry/internal/wallclock"
 )
@@ -48,6 +46,11 @@ func runKind(parallel int) string {
 	return "parallel"
 }
 
+// wallBound is the wall-clock ceiling of a recorded kind.
+func wallBound(kind string) wallclock.Bound {
+	return wallclock.Bound{Kind: kind, Field: wallclock.Total, Limit: wallclock.Headroom}
+}
+
 func recordWallclock(path, kind string, seed int64, run *wallclock.Run) {
 	if err := wallclock.Record(path, kind, seed, run); err != nil {
 		fatalf("wallclock: %v", err)
@@ -55,8 +58,8 @@ func recordWallclock(path, kind string, seed int64, run *wallclock.Run) {
 	fmt.Printf("wallclock: %s run %.2fs recorded to %s\n", kind, run.TotalSec, path)
 }
 
-func guardWallclock(path, kind string, run *wallclock.Run) {
-	msg, err := wallclock.Guard(path, kind, run)
+func guardWallclock(path string, b wallclock.Bound, run *wallclock.Run) {
+	msg, err := wallclock.Guard(path, b, run)
 	if err != nil {
 		fatalf("wallclock-guard: %v", err)
 	}
@@ -88,28 +91,14 @@ func main() {
 		replayLine = flag.String("replay", "", "replay a printed repro line and exit")
 
 		fleetSoak  = flag.Bool("fleet-soak", false, "run the fleet service-layer chaos soak and emit a JSON report")
-		fleetScale = flag.Bool("fleet-scale", false, "run the fleet capacity smoke: delta-park and live-reshard equivalence plus the parked-bytes-per-device measurement")
+		fleetScale = flag.Bool("fleet-scale", false, "run the fleet capacity smoke: live-reshard equivalence plus the parked-bytes-per-device measurement")
 		devices    = flag.Int("devices", 32, "fleet size for -fleet-soak / -fleet-scale")
 		soakOps    = flag.Int("ops", 300, "ops per device for -fleet-soak / -fleet-scale")
-
-		snapshotMode = flag.String("snapshot", "on", "checkpoint/fork engine: on (default) or off; results are identical, only wall-clock differs")
 	)
 	flag.Parse()
 
-	var snapshotsOn bool
-	switch *snapshotMode {
-	case "on":
-		snapshotsOn = true
-	case "off":
-		snapshotsOn = false
-		check.SnapshotEnabled = false
-		bench.SetSnapshotBoots(false)
-	default:
-		fatalf("-snapshot must be on or off, got %q", *snapshotMode)
-	}
-
 	if *fleetSoak {
-		if !runFleetSoak(*devices, *soakOps, *seed, *faultsProf, !snapshotsOn) {
+		if !runFleetSoak(*devices, *soakOps, *seed, *faultsProf) {
 			os.Exit(1)
 		}
 		return
@@ -149,7 +138,7 @@ func main() {
 			recordWallclock(*wallOut, "check", *seed, run)
 		}
 		if *wallGuard != "" {
-			guardWallclock(*wallGuard, "check", run)
+			guardWallclock(*wallGuard, wallBound("check"), run)
 		}
 		return
 	}
@@ -170,19 +159,13 @@ func main() {
 			recordWallclock(*wallOut, kind, *seed, run)
 		}
 		if *wallGuard != "" {
-			msg, err := wallclock.GuardThroughput(*wallGuard, kind, run)
-			if err != nil {
-				fatalf("wallclock-guard: %v", err)
-			}
-			fmt.Println("wallclock-guard:", msg)
+			guardWallclock(*wallGuard, wallclock.Bound{Kind: kind, Field: wallclock.Throughput,
+				Floor: true, Limit: 1 / wallclock.Headroom}, run)
 			if !*expBase {
 				// The tree must also hold its speedup over the recorded
 				// seed-replay baseline, not just its own absolute floor.
-				msg, err := wallclock.GuardRatio(*wallGuard, "explore-baseline", exploreMinRatio, run)
-				if err != nil {
-					fatalf("wallclock-guard: %v", err)
-				}
-				fmt.Println("wallclock-guard:", msg)
+				guardWallclock(*wallGuard, wallclock.Bound{Kind: "explore-baseline", Field: wallclock.Throughput,
+					Floor: true, Limit: exploreMinRatio}, run)
 			}
 		}
 		return
@@ -252,7 +235,7 @@ func main() {
 		recordWallclock(*wallOut, runKind(*parallel), *seed, run)
 	}
 	if *wallGuard != "" {
-		guardWallclock(*wallGuard, runKind(*parallel), run)
+		guardWallclock(*wallGuard, wallBound(runKind(*parallel)), run)
 	}
 
 	if tracer != nil {

@@ -57,7 +57,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "admission-control token count; 0 = unbounded")
 		squeeze     = flag.Int("squeeze-every", 0, "squeeze iRAM of every Nth device at boot; 0 = off")
 		diskKB      = flag.Int("disk-kb", 64, "encrypted-disk size per device (KB)")
-		noDelta     = flag.Bool("no-delta", false, "park full snapshots instead of deltas against the boot image (more memory, identical behavior)")
 		soak        = flag.Bool("soak", false, "run the chaos soak, print the JSON report, and exit")
 		soakOps     = flag.Int("ops", 300, "ops per device in -soak mode")
 		listen      = flag.String("listen", "127.0.0.1:8473", "API/probe listen address (serve mode)")
@@ -68,7 +67,7 @@ func main() {
 	if *soak {
 		rep, err := fleet.RunSoak(fleet.SoakConfig{
 			Devices: *devices, OpsPerDevice: *soakOps, Seed: *seed, Faults: *faultStr,
-			ResidentCap: *residentCap, Shards: *shards, NoDelta: *noDelta,
+			ResidentCap: *residentCap, Shards: *shards,
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -85,7 +84,7 @@ func main() {
 	if !ok {
 		fatalf("unknown fault profile %q", *faultStr)
 	}
-	fleetOpts := []fleet.Option{
+	f := fleet.Open(*devices,
 		fleet.WithSeed(*seed),
 		fleet.WithFaults(prof),
 		fleet.WithShards(*shards),
@@ -93,11 +92,7 @@ func main() {
 		fleet.WithMaxInflight(*maxInflight),
 		fleet.WithSqueezeEvery(*squeeze),
 		fleet.WithDiskKB(*diskKB),
-	}
-	if *noDelta {
-		fleetOpts = append(fleetOpts, fleet.WithNoDelta())
-	}
-	f := fleet.Open(*devices, fleetOpts...)
+	)
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", fleet.NewHandler(f))

@@ -109,7 +109,8 @@ func main() {
 		fmt.Printf("wallclock: serve %.0f ops/s recorded to %s\n", run.OpsPerSec, *wallOut)
 	}
 	if *wallGuard != "" {
-		msg, err := wallclock.GuardThroughput(*wallGuard, "serve", run)
+		msg, err := wallclock.Guard(*wallGuard, wallclock.Bound{Kind: "serve", Field: wallclock.Throughput,
+			Floor: true, Limit: 1 / wallclock.Headroom}, run)
 		if err != nil {
 			fatalf("wallclock-guard: %v", err)
 		}

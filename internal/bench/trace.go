@@ -47,16 +47,6 @@ func boot(s *soc.SoC) *soc.SoC {
 	return s
 }
 
-// snapshotBoots gates the checkpoint/fork fast path through the platform
-// boot helpers (the sentrybench -snapshot=off escape hatch clears it).
-var snapshotBoots = true
-
-// SetSnapshotBoots enables or disables forking experiment platforms from
-// cached post-boot snapshots. Call before running experiments, never
-// concurrently with them. Reports are byte-identical either way — only
-// wall-clock differs.
-func SetSnapshotBoots(on bool) { snapshotBoots = on }
-
 // bootSnaps parks one post-boot snapshot per (platform, seed). Every
 // experiment that needs that platform forks the snapshot in O(touched
 // metadata) instead of re-running the boot sequence; concurrent experiments
@@ -71,7 +61,7 @@ type bootKey struct {
 }
 
 func bootSnapshot(platform string, seed int64, build func(int64) *soc.SoC) *soc.SoC {
-	if !snapshotBoots || pkgTracer != nil {
+	if pkgTracer != nil {
 		return boot(build(seed))
 	}
 	k := bootKey{platform, seed}

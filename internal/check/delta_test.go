@@ -49,7 +49,7 @@ func TestDeltaParkMatchesFullPark(t *testing.T) {
 			}
 
 			hf := fullSnap.Fork()
-			hd := deltaSnap.ForkFromDelta()
+			hd := deltaSnap.Fork()
 			if d := DiffWorlds(hf, hd); d != "" {
 				t.Fatalf("cfg %d seed %d: delta hydration diverged from full: %s", ci, seed, d)
 			}
@@ -69,7 +69,7 @@ func TestDeltaParkMatchesFullPark(t *testing.T) {
 
 			// A delta snapshot must stay hydratable: a second fork replays the
 			// same suffix to the same end state.
-			hd2 := deltaSnap.ForkFromDelta()
+			hd2 := deltaSnap.Fork()
 			replayFrom(hd2, suffix)
 			if d := DiffWorlds(hd, hd2); d != "" {
 				t.Fatalf("cfg %d seed %d: repeated delta hydration diverged: %s", ci, seed, d)
@@ -97,7 +97,7 @@ func TestDeltaParkQuick(t *testing.T) {
 
 		fullSnap := snapshot.Adopt(full)
 		deltaSnap, _ := snapshot.CaptureDelta[*World, *World](delta, base)
-		hf, hd := fullSnap.Fork(), deltaSnap.ForkFromDelta()
+		hf, hd := fullSnap.Fork(), deltaSnap.Fork()
 		if d := DiffWorlds(hf, hd); d != "" {
 			t.Logf("seed %d steps %d: %s", seed, n, d)
 			return false
@@ -129,7 +129,7 @@ func TestConcurrentDeltaParks(t *testing.T) {
 			w := snapBase.Fork()
 			replayFrom(w, sched)
 			snap, _ := snapshot.CaptureDelta[*World, *World](w, base)
-			worlds[i] = snap.ForkFromDelta()
+			worlds[i] = snap.Fork()
 		}(i)
 	}
 	wg.Wait()

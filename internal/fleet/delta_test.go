@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"sentry/internal/snapshot"
 )
 
 // Delta-encoded parking. The byte-level soundness proof (delta park ≡ full
@@ -12,6 +14,14 @@ import (
 // these tests cover the fleet wiring: the parked-bytes gauge, the ≥5×
 // footprint reduction the 10^6-device claim rests on, and report identity
 // between the two encodings under a real soak.
+
+// withFullPark parks evicted devices as full snapshots, charging the dense
+// footprint: the reference the delta encoding is measured against.
+func withFullPark(o *Options) {
+	o.testPark = func(d *device) (*snapshot.Snapshot[*device], int64) {
+		return snapshot.Adopt(d), d.dev.FootprintBytes() + d.looseBytes()
+	}
+}
 
 // waitParks polls until at least n parks have landed. Eviction hands the
 // seat over before the victim's actor finishes draining, so tests that read
@@ -29,11 +39,11 @@ func waitParks(t *testing.T, f *Fleet, n uint64) {
 
 // measureParkedBytes opens a capped fleet, touches enough devices that most
 // park, and returns (bytes per parked device, parked count).
-func measureParkedBytes(t *testing.T, noDelta bool) (int64, int) {
+func measureParkedBytes(t *testing.T, fullPark bool) (int64, int) {
 	t.Helper()
 	opts := []Option{WithSeed(11), WithShards(4), WithResidentCap(32)}
-	if noDelta {
-		opts = append(opts, WithNoDelta())
+	if fullPark {
+		opts = append(opts, withFullPark)
 	}
 	f := Open(4096, opts...)
 	defer f.Stop()
@@ -101,8 +111,7 @@ func TestDeltaParkSoakIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoDelta = true
-	full, err := RunSoak(cfg)
+	full, err := runSoak(cfg, withFullPark)
 	if err != nil {
 		t.Fatal(err)
 	}

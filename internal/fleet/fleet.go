@@ -76,9 +76,11 @@ const (
 
 // Options is the resolved configuration of a Fleet. Construct a fleet with
 // Open and functional options; Options remains exported as the resolved
-// form (and for the deprecated New).
+// form (and for the deprecated New). Every boot forks the fleet's shared
+// post-boot snapshot and every park is a delta against it; neither is an
+// option.
 type Options struct {
-	Devices int   // logical device population (IDs [0, Devices))
+	Devices int // logical device population (IDs [0, Devices))
 	Seed    int64
 	PIN     string // unlock PIN for every device (default "4321")
 
@@ -109,21 +111,6 @@ type Options struct {
 	// gets a fresh injector seeded from the device's boot seed.
 	Faults faults.Profile
 
-	// NoSnapshots disables the checkpoint/fork fast paths: every boot
-	// re-runs the full deterministic boot sequence instead of forking the
-	// fleet's shared post-boot snapshot, and eviction is disabled (there is
-	// nothing cheap to hydrate from). Results are identical either way —
-	// the same seed replays the same boot — only wall-clock differs. The
-	// sentrybench -snapshot=off escape hatch sets it.
-	NoSnapshots bool
-
-	// NoDelta parks evicted devices as full snapshots instead of deltas
-	// against the shared base world. Results are identical either way (the
-	// delta soundness property in internal/check/delta_test.go); only the
-	// resting memory cost of a parked device differs. The escape hatch
-	// exists for A/B measurement of exactly that cost.
-	NoDelta bool
-
 	// DefaultTimeout bounds requests whose context carries no deadline
 	// (default 30s) — every request in the system has a deadline.
 	DefaultTimeout time.Duration
@@ -141,6 +128,9 @@ type Options struct {
 	// testExec, when set, intercepts ops before the device executes them;
 	// tests use it to inject stalls, panics, and scripted failures.
 	testExec func(a *actor, op Op) (handled bool, res Result, err error)
+	// testPark, when set, replaces delta parking; tests use it to park
+	// full snapshots as the reference the delta encoding is compared to.
+	testPark func(d *device) (parked *snapshot.Snapshot[*device], bytes int64)
 }
 
 func (o Options) withDefaults() Options {
@@ -158,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResidentCap < 0 {
 		o.ResidentCap = 0
-	}
-	if o.NoSnapshots {
-		o.ResidentCap = 0 // nothing cheap to hydrate from; keep actors live
 	}
 	if o.ResidentCap > 0 && o.Shards > o.ResidentCap {
 		// Fewer seats than shards: shrink the shard count so the per-shard
@@ -232,14 +219,6 @@ func WithRestartBudget(n int) Option { return func(o *Options) { o.RestartBudget
 
 // WithFaults sets the per-device fault profile.
 func WithFaults(p faults.Profile) Option { return func(o *Options) { o.Faults = p } }
-
-// WithNoSnapshots disables the checkpoint/fork fast paths (cold boots,
-// no eviction). Results are identical; only wall-clock differs.
-func WithNoSnapshots() Option { return func(o *Options) { o.NoSnapshots = true } }
-
-// WithNoDelta parks evicted devices as full snapshots instead of deltas
-// against the shared base. Results are identical; only parked memory differs.
-func WithNoDelta() Option { return func(o *Options) { o.NoDelta = true } }
 
 // WithDefaultTimeout bounds requests that carry no deadline of their own.
 func WithDefaultTimeout(d time.Duration) Option { return func(o *Options) { o.DefaultTimeout = d } }
@@ -403,16 +382,6 @@ func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*sentry.Device], error) {
 		f.base = snapshot.Adopt(sd)
 	})
 	return f.base, f.baseErr
-}
-
-// deltaBase returns the frozen world parks deflate against, nil when delta
-// parking is off. A park implies a prior boot, so baseDev is published (the
-// booting actor's baseOnce.Do happened-before it parked).
-func (f *Fleet) deltaBase() *sentry.Device {
-	if f.opt.NoDelta || f.opt.NoSnapshots {
-		return nil
-	}
-	return f.baseDev
 }
 
 // Metrics returns the fleet's registry.

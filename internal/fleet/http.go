@@ -46,6 +46,11 @@ type (
 // not a load profile.
 const maxBatchOps = 1024
 
+// maxBatchBytes bounds a batch body before it is decoded. One encoded
+// WireOp with the longest op name and full-width arg and prio is under 100
+// bytes; 256 per op leaves room for whitespace and the envelope.
+const maxBatchBytes = maxBatchOps * 256
+
 // NewHandler mounts the fleet serving API:
 //
 //	POST /v1/devices/{id}/ops     — execute a batch of ops, JSON-typed results
@@ -64,8 +69,12 @@ func NewHandler(f *Fleet) http.Handler {
 			return
 		}
 		var batch WireBatch
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			writeError(w, http.StatusBadRequest, CodeOther, fmt.Sprintf("bad batch body: %v", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&batch); err != nil {
+			status := http.StatusBadRequest
+			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, CodeOther, fmt.Sprintf("bad batch body: %v", err))
 			return
 		}
 		if len(batch.Ops) == 0 {

@@ -162,7 +162,9 @@ func TestHTTPValidation(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		var we WireError
-		json.NewDecoder(resp.Body).Decode(&we)
+		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Code == "" {
+			t.Errorf("%s: status %d without a WireError body (%v)", path, resp.StatusCode, err)
+		}
 		return resp.StatusCode
 	}
 	if s := post("/v1/devices/0/ops", `{"ops":[]}`); s != http.StatusBadRequest {
@@ -177,9 +179,18 @@ func TestHTTPValidation(t *testing.T) {
 	if s := post("/v1/devices/not-a-number/ops", `{"ops":[{"code":"ping"}]}`); s != http.StatusBadRequest {
 		t.Errorf("bad device id → %d, want 400", s)
 	}
+	// A body past the byte bound is cut off mid-decode, even though the ops
+	// it opens with are valid and few.
+	oversized := `{"ops":[{"code":"ping"}]` + strings.Repeat(" ", maxBatchBytes) + `}`
+	if s := post("/v1/devices/0/ops", oversized); s != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body → %d, want 413", s)
+	}
 	// Nothing above reached a device.
 	if n := f.Metrics().CounterValue(MetricExecs); n != 0 {
 		t.Fatalf("validation failures executed %d ops", n)
+	}
+	if n := f.Metrics().CounterValue(MetricOpsOK) + f.Metrics().CounterValue(MetricOpsFailed); n != 0 {
+		t.Fatalf("validation failures reached Fleet.Do %d times", n)
 	}
 }
 

@@ -153,9 +153,6 @@ func (f *Fleet) Reshard(n int) error {
 	if f.opt.ResidentCap > 0 && n > f.opt.ResidentCap {
 		return fmt.Errorf("fleet: reshard to %d shards exceeds resident cap %d", n, f.opt.ResidentCap)
 	}
-	if f.opt.NoSnapshots {
-		return fmt.Errorf("fleet: reshard needs snapshots (movers re-park); fleet runs with NoSnapshots")
-	}
 	shards := make([]*shard, n)
 	copy(shards, cur.shards)
 	for i := len(cur.shards); i < n; i++ {

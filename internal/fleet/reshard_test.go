@@ -198,12 +198,6 @@ func TestReshardErrors(t *testing.T) {
 	if err := capped.Reshard(8); err != nil {
 		t.Fatalf("reshard to the cap: %v", err)
 	}
-
-	cold := Open(16, WithSeed(1), WithShards(4), WithNoSnapshots())
-	defer cold.Stop()
-	if err := cold.Reshard(8); err == nil {
-		t.Fatal("reshard of a snapshotless fleet succeeded")
-	}
 }
 
 // TestReshardUnderConcurrentTraffic hammers a small device set from many

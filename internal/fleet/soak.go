@@ -33,15 +33,6 @@ type SoakConfig struct {
 	// report stays deterministic).
 	OpTimeout time.Duration
 
-	// NoSnapshots forwards to Options.NoSnapshots: reboots re-run the full
-	// boot sequence instead of forking the post-boot snapshot.
-	NoSnapshots bool
-
-	// NoDelta forwards to Options.NoDelta: evicted devices park as full
-	// snapshots instead of deltas against the shared base. Like the
-	// residency knobs, it never changes the report, only memory.
-	NoDelta bool
-
 	// ResidentCap and Shards forward to the fleet options (RunSoak only —
 	// SoakOn drives whatever fleet sits behind its Client). Zero keeps the
 	// defaults (unbounded residency, 8 shards).
@@ -226,7 +217,11 @@ func SoakOn(c Client, cfg SoakConfig) (*SoakReport, error) {
 // SoakOn workload against it, then stops the fleet, sweeps every device for
 // confidentiality violations, and audits the fleet-side counters the Client
 // interface cannot see (boots, quarantine causes, retry amplification).
-func RunSoak(cfg SoakConfig) (*SoakReport, error) {
+func RunSoak(cfg SoakConfig) (*SoakReport, error) { return runSoak(cfg) }
+
+// runSoak is RunSoak with extra options applied after the config's own;
+// tests pass unexported hooks through it.
+func runSoak(cfg SoakConfig, extra ...Option) (*SoakReport, error) {
 	cfg = cfg.withDefaults()
 	prof, ok := faults.ByName(cfg.Faults)
 	if !ok {
@@ -239,13 +234,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		WithShards(nonZero(cfg.Shards, 8)),
 		WithResidentCap(cfg.ResidentCap),
 	}
-	if cfg.NoSnapshots {
-		opts = append(opts, WithNoSnapshots())
-	}
-	if cfg.NoDelta {
-		opts = append(opts, WithNoDelta())
-	}
-	f := Open(cfg.Devices, opts...)
+	f := Open(cfg.Devices, append(opts, extra...)...)
 
 	recs := driveSoak(f, cfg)
 	f.Stop()

@@ -81,21 +81,14 @@ type Deflater[W, B any] interface {
 // delta — and then adopted, so a parked device costs O(divergence from
 // base) instead of O(everything it ever touched). The caller must never
 // touch w again (as with Adopt), and base must be frozen for concurrent
-// reads (e.g. Device.FreezeBase). Hydrate with ForkFromDelta. The returned
-// byte count is the delta's estimated resting cost, for parked-bytes
-// accounting.
+// reads (e.g. Device.FreezeBase). Hydrate with Fork: the deflated world's
+// own Fork reconstructs a dense, fully independent copy from base+delta,
+// and the snapshot stays parked for further hydrations. The returned byte
+// count is the delta's estimated resting cost, for parked-bytes accounting.
 func CaptureDelta[W Deflater[W, B], B any](w W, base B) (*Snapshot[W], int64) {
 	n := w.Deflate(base)
 	return Adopt(w), n
 }
-
-// ForkFromDelta hydrates a world from a delta snapshot taken by
-// CaptureDelta. It is Fork by another name — the deflated world's own Fork
-// reconstructs a dense, fully independent copy from base+delta — but spelled
-// separately so call sites say which encoding they expect; it works (as a
-// plain fork) on full snapshots too. The snapshot stays parked and may be
-// hydrated again.
-func (s *Snapshot[W]) ForkFromDelta() W { return s.Fork() }
 
 // Fork returns an independent world continuing from the captured state.
 // Safe for concurrent use: the first fork of the parked copy seals its

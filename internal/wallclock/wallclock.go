@@ -19,17 +19,15 @@ type File struct {
 }
 
 // Run is one recorded run. TotalSec is the wall clock; OpsPerSec is set by
-// throughput kinds ("serve"); Experiments is the per-experiment breakdown
-// of -exp all runs; the BytesPerDevice pair is set by the memory kind
-// ("scale") — the resting cost of a delta-parked device and of the same
-// device parked as a full snapshot.
+// throughput kinds ("serve", "explore"); Experiments is the per-experiment
+// breakdown of -exp all runs; BytesPerDevice is set by the memory kind
+// ("scale") — the resting cost of a delta-parked device.
 type Run struct {
-	Parallelism        int                `json:"parallelism"`
-	TotalSec           float64            `json:"total_seconds"`
-	OpsPerSec          float64            `json:"ops_per_sec,omitempty"`
-	Experiments        map[string]float64 `json:"experiments,omitempty"`
-	BytesPerDevice     int64              `json:"bytes_per_device,omitempty"`
-	BytesPerDeviceFull int64              `json:"bytes_per_device_full,omitempty"`
+	Parallelism    int                `json:"parallelism"`
+	TotalSec       float64            `json:"total_seconds"`
+	OpsPerSec      float64            `json:"ops_per_sec,omitempty"`
+	Experiments    map[string]float64 `json:"experiments,omitempty"`
+	BytesPerDevice int64              `json:"bytes_per_device,omitempty"`
 }
 
 // Headroom is how much worse than the checked-in record a run may be before
@@ -70,81 +68,54 @@ func load(path, kind string) (*Run, error) {
 	return rec, nil
 }
 
-// Guard fails (returns an error) if run took >Headroom times the recorded
-// wall clock of the same kind. On success it returns a one-line summary.
-func Guard(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
-	if err != nil {
-		return "", err
-	}
-	limit := rec.TotalSec * Headroom
-	if run.TotalSec > limit {
-		return "", fmt.Errorf("%s total %.2fs exceeds %.2fs (recorded %.2fs + 25%% headroom) — perf regression",
-			kind, run.TotalSec, limit, rec.TotalSec)
-	}
-	return fmt.Sprintf("%s total %.2fs within %.2fs budget (recorded %.2fs + 25%% headroom)",
-		kind, run.TotalSec, limit, rec.TotalSec), nil
+// Field is the Run measurement a guard reads.
+type Field struct {
+	Name   string // as printed, e.g. "ops/sec"
+	format string // printf verb and unit for one value
+	get    func(*Run) float64
 }
 
-// GuardRatio fails if run's ops/sec is less than minRatio times the
-// recorded rate of baseKind. The explorer's CI guard uses it to keep the
-// snapshot tree honest: a fresh tree sweep must stay >=10x the recorded
-// seed-replay baseline, so the speedup claim cannot silently rot while the
-// absolute floor (GuardThroughput) is still met.
-func GuardRatio(path, baseKind string, minRatio float64, run *Run) (string, error) {
-	rec, err := load(path, baseKind)
-	if err != nil {
-		return "", err
-	}
-	if rec.OpsPerSec <= 0 {
-		return "", fmt.Errorf("%s record in %s has no ops/sec", baseKind, path)
-	}
-	floor := rec.OpsPerSec * minRatio
-	if run.OpsPerSec < floor {
-		return "", fmt.Errorf("throughput %.0f/s is %.1fx the recorded %s rate %.0f/s — below the %.0fx floor",
-			run.OpsPerSec, run.OpsPerSec/rec.OpsPerSec, baseKind, rec.OpsPerSec, minRatio)
-	}
-	return fmt.Sprintf("throughput %.0f/s is %.1fx the recorded %s rate %.0f/s (floor %.0fx)",
-		run.OpsPerSec, run.OpsPerSec/rec.OpsPerSec, baseKind, rec.OpsPerSec, minRatio), nil
+// The guarded fields.
+var (
+	Total       = Field{"total", "%.2fs", func(r *Run) float64 { return r.TotalSec }}
+	Throughput  = Field{"ops/sec", "%.0f ops/s", func(r *Run) float64 { return r.OpsPerSec }}
+	ParkedBytes = Field{"parked footprint", "%.0f B/device", func(r *Run) float64 { return float64(r.BytesPerDevice) }}
+)
+
+// Bound is one guard row: a fresh run's Field may not exceed (or, with
+// Floor, fall below) Limit times the same field of the recorded Kind. Wall
+// clock and memory bounds are ceilings at Headroom; throughput bounds are
+// floors at 1/Headroom; the explorer's speedup bound is a floor at 10x the
+// recorded seed-replay baseline, so the speedup claim cannot silently rot
+// while the absolute floor is still met.
+type Bound struct {
+	Kind  string
+	Field Field
+	Floor bool
+	Limit float64
 }
 
-// GuardBytes fails if run's resting bytes per parked device grew more than
-// Headroom over the recorded figure — the memory guard behind the
-// 10^6-logical-devices capacity claim. (The companion >=5x-reduction check
-// compares the run's own delta and full measurements and lives in the
-// driver, since both numbers are measured fresh.)
-func GuardBytes(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
+// Guard fails (returns an error) if run breaks bound b against the record
+// in path. On success it returns a one-line summary.
+func Guard(path string, b Bound, run *Run) (string, error) {
+	rec, err := load(path, b.Kind)
 	if err != nil {
 		return "", err
 	}
-	if rec.BytesPerDevice <= 0 {
-		return "", fmt.Errorf("%s record in %s has no bytes/device", kind, path)
+	want := b.Field.get(rec)
+	if want <= 0 {
+		return "", fmt.Errorf("%s record in %s has no %s", b.Kind, path, b.Field.Name)
 	}
-	limit := float64(rec.BytesPerDevice) * Headroom
-	if float64(run.BytesPerDevice) > limit {
-		return "", fmt.Errorf("%s parked footprint %d B/device exceeds %.0f B (recorded %d + 25%% headroom) — memory regression",
-			kind, run.BytesPerDevice, limit, rec.BytesPerDevice)
+	got, limit := b.Field.get(run), want*b.Limit
+	side, broken := "ceiling", got > limit
+	if b.Floor {
+		side, broken = "floor", got < limit
 	}
-	return fmt.Sprintf("%s parked footprint %d B/device within %.0f B budget (recorded %d + 25%% headroom)",
-		kind, run.BytesPerDevice, limit, rec.BytesPerDevice), nil
-}
-
-// GuardThroughput fails if run's ops/sec fell below the recorded rate
-// divided by Headroom — the floor the serving path must sustain.
-func GuardThroughput(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
-	if err != nil {
-		return "", err
+	f := b.Field.format
+	msg := fmt.Sprintf("%s "+f+" against %s "+f+" (recorded %s "+f+" x %.2f)",
+		b.Field.Name, got, side, limit, b.Kind, want, b.Limit)
+	if broken {
+		return "", fmt.Errorf("%s — regression", msg)
 	}
-	if rec.OpsPerSec <= 0 {
-		return "", fmt.Errorf("%s record in %s has no ops/sec", kind, path)
-	}
-	floor := rec.OpsPerSec / Headroom
-	if run.OpsPerSec < floor {
-		return "", fmt.Errorf("%s throughput %.0f ops/s below %.0f ops/s floor (recorded %.0f / 25%% headroom) — perf regression",
-			kind, run.OpsPerSec, floor, rec.OpsPerSec)
-	}
-	return fmt.Sprintf("%s throughput %.0f ops/s above %.0f ops/s floor (recorded %.0f / 25%% headroom)",
-		kind, run.OpsPerSec, floor, rec.OpsPerSec), nil
+	return msg, nil
 }

@@ -37,41 +37,82 @@ func TestRecordPreservesOtherKinds(t *testing.T) {
 	}
 }
 
-func TestGuardHeadroom(t *testing.T) {
+// guardCase is one guard row driven against a recorded file.
+type guardCase struct {
+	name    string
+	bound   Bound
+	run     Run
+	wantErr string // "" means the guard passes
+}
+
+// recordKinds writes one record per kind to a fresh file and returns its path.
+func recordKinds(t *testing.T, runs map[string]*Run) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "wc.json")
-	if err := Record(path, "check", 1, &Run{Parallelism: 1, TotalSec: 4}); err != nil {
-		t.Fatal(err)
+	for kind, run := range runs {
+		if err := Record(path, kind, 1, run); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Guard(path, "check", &Run{TotalSec: 4.9}); err != nil {
-		t.Fatalf("run within headroom failed the guard: %v", err)
-	}
-	if _, err := Guard(path, "check", &Run{TotalSec: 5.1}); err == nil {
-		t.Fatal("run past headroom passed the guard")
-	}
-	if _, err := Guard(path, "missing", &Run{TotalSec: 1}); err == nil {
-		t.Fatal("guard against a missing kind passed")
+	return path
+}
+
+func checkGuards(t *testing.T, path string, cases []guardCase) {
+	t.Helper()
+	for _, tc := range cases {
+		run := tc.run
+		msg, err := Guard(path, tc.bound, &run)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: guard failed: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: guard passed: %s", tc.name, msg)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q, want it to mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
+// TestGuardHeadroom drives the ceiling guards — wall clock and parked bytes
+// at Headroom — and the explorer's 10x speedup floor on both sides of their
+// bounds, plus the two ways a guard cannot be anchored: a missing kind and a
+// record without the field.
+func TestGuardHeadroom(t *testing.T) {
+	path := recordKinds(t, map[string]*Run{
+		"check":            {Parallelism: 1, TotalSec: 4},
+		"scale":            {Parallelism: 1, TotalSec: 1, BytesPerDevice: 1000},
+		"explore-baseline": {TotalSec: 70, OpsPerSec: 500},
+	})
+	wallBound := Bound{Kind: "check", Field: Total, Limit: Headroom}
+	bytesBound := Bound{Kind: "scale", Field: ParkedBytes, Limit: Headroom}
+	ratioBound := Bound{Kind: "explore-baseline", Field: Throughput, Floor: true, Limit: 10}
+	checkGuards(t, path, []guardCase{
+		{"wall clock under ceiling", wallBound, Run{TotalSec: 4.9}, ""},
+		{"wall clock over ceiling", wallBound, Run{TotalSec: 5.1}, "regression"},
+		{"parked bytes under ceiling", bytesBound, Run{BytesPerDevice: 1249}, ""},
+		{"parked bytes over ceiling", bytesBound, Run{BytesPerDevice: 1251}, "regression"},
+		{"speedup above 10x floor", ratioBound, Run{OpsPerSec: 5001}, ""},
+		{"speedup below 10x floor", ratioBound, Run{OpsPerSec: 4999}, "regression"},
+		{"missing kind", Bound{Kind: "missing", Field: Total, Limit: Headroom}, Run{TotalSec: 1}, `no "missing" record`},
+		{"record without bytes", Bound{Kind: "check", Field: ParkedBytes, Limit: Headroom},
+			Run{BytesPerDevice: 1}, "no parked footprint"},
+	})
+}
+
+// TestGuardThroughputFloor drives the serving floor at 1/Headroom: throughput
+// guards invert the comparison (lower is worse).
 func TestGuardThroughputFloor(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wc.json")
-	if err := Record(path, "serve", 1, &Run{Parallelism: 512, TotalSec: 10, OpsPerSec: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// Floor is recorded/1.25 = 240: throughput guards invert the comparison
-	// (lower is worse).
-	if msg, err := GuardThroughput(path, "serve", &Run{OpsPerSec: 241}); err != nil {
-		t.Fatalf("throughput above the floor failed: %v (%s)", err, msg)
-	}
-	if _, err := GuardThroughput(path, "serve", &Run{OpsPerSec: 239}); err == nil {
-		t.Fatal("throughput below the floor passed")
-	}
-	// A record without ops/sec cannot anchor a throughput guard.
-	if err := Record(path, "serial", 1, &Run{Parallelism: 1, TotalSec: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GuardThroughput(path, "serial", &Run{OpsPerSec: 100}); err == nil ||
-		!strings.Contains(err.Error(), "no ops/sec") {
-		t.Fatalf("guard against a duration-only record: %v", err)
-	}
+	path := recordKinds(t, map[string]*Run{
+		"serve":  {Parallelism: 512, TotalSec: 10, OpsPerSec: 300},
+		"serial": {Parallelism: 1, TotalSec: 6},
+	})
+	serveBound := Bound{Kind: "serve", Field: Throughput, Floor: true, Limit: 1 / Headroom}
+	checkGuards(t, path, []guardCase{
+		// The floor is recorded/1.25 = 240.
+		{"throughput above floor", serveBound, Run{OpsPerSec: 241}, ""},
+		{"throughput below floor", serveBound, Run{OpsPerSec: 239}, "regression"},
+		// A record without ops/sec cannot anchor a throughput guard.
+		{"record without ops/sec", Bound{Kind: "serial", Field: Throughput, Floor: true, Limit: 1 / Headroom},
+			Run{OpsPerSec: 100}, "no ops/sec"},
+	})
 }

@@ -7,9 +7,8 @@
 #   scripts/scale_guard.sh smoke    # fail if two runs' "scale:" lines differ
 #
 # Every mode runs sentrybench -fleet-scale, which itself enforces the
-# behavioral half of the capacity claim (delta-parked and mid-reshard soaks
-# must report byte-identically to the plain soak) and the >=5x
-# delta-vs-full reduction floor. record writes the measured delta and full
+# behavioral half of the capacity claim (a mid-reshard soak must report
+# byte-identically to the plain soak). record writes the measured
 # bytes/device into the keyed "scale" record of BENCH_wallclock.json;
 # guard holds a fresh measurement to the recorded figure + 25% headroom;
 # smoke runs the whole check twice and diffs the deterministic "scale:"

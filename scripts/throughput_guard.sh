@@ -11,9 +11,8 @@
 # omission. The achieved ops/sec lands in (or is guarded against) the
 # keyed "serve" record of BENCH_wallclock.json.
 #
-# The capped sentryd parks evictees as deltas against the boot image by
-# default (sentryd -no-delta restores full-snapshot parking), so this floor
-# also covers the delta encode/hydrate cost on the serving path.
+# The capped sentryd parks evictees as deltas against the boot image, so
+# this floor also covers the delta encode/hydrate cost on the serving path.
 set -eu
 
 MODE="${1:-guard}"
