@@ -96,8 +96,9 @@ explore:
 
 # Determinism smoke: a -j 1 and a -j N sweep must print byte-identical
 # "explore:" verdict lines (throughput "perf:" lines are exempt).
+EXPLORE_SMOKE = $(GO) run ./cmd/sentrybench -explore -explore-budget 20000 $(if $(wildcard EXPLORE_corpus.txt),-explore-corpus EXPLORE_corpus.txt)
 explore-smoke:
-	sh scripts/explore_guard.sh smoke
+	$(call run-twice,explore-smoke,$(EXPLORE_SMOKE) -j 1 | grep '^explore:',$(EXPLORE_SMOKE) -j 0 | grep '^explore:')
 
 # Fail if a fresh tree sweep fell >25% below the keyed "explore" record in
 # BENCH_wallclock.json, or below 10x the recorded seed-replay baseline rate.
@@ -135,11 +136,14 @@ throughput-record:
 
 # Fleet capacity smoke + memory guard: a mid-reshard soak must report
 # byte-identically to the plain soak, two runs must print identical
-# "scale:" lines, and the measured bytes per delta-parked device must stay
-# within 25% of the keyed "scale" record in BENCH_wallclock.json. (The >=5x
-# delta-vs-full floor is TestDeltaParkingShrinksParkedBytes, run by `test`.)
+# "scale:" lines (so a nondeterministic park encoding cannot slip past the
+# guard on a lucky run), and the measured bytes per delta-parked device must
+# stay within 25% of the keyed "scale" record in BENCH_wallclock.json. (The
+# >=5x delta-vs-full floor is TestDeltaParkingShrinksParkedBytes, run by
+# `test`.)
+FLEET_SCALE = $(GO) run ./cmd/sentrybench -fleet-scale -devices 24 -ops 40 -seed 1
 scale:
-	sh scripts/scale_guard.sh smoke
+	$(call run-twice,scale,$(FLEET_SCALE) | grep '^scale:',$(FLEET_SCALE) | grep '^scale:')
 	sh scripts/scale_guard.sh guard
 
 # Re-record the parked-footprint baseline after an intentional change to

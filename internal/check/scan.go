@@ -9,16 +9,15 @@ import (
 	"sentry/internal/soc"
 )
 
-// Scanner is the reusable core of the confidentiality invariant: the scan
-// clauses of World.scan and World.postMortem, factored out so other
-// harnesses (the fleet chaos soak, future campaign drivers) can enforce the
-// same clauses over platforms they own without building a check.World.
+// scanner holds the scan clauses of the confidentiality invariant over one
+// world's platform: World.scan runs the live ones, World.postMortem the
+// after-power-loss ones, and World.NearMiss the relaxed remanence scan.
 //
-// The Scanner borrows the platform; it never mutates simulated memory
+// The scanner borrows the platform; it never mutates simulated memory
 // except through the legal masked clean the writeback clause requires.
 // Violations it returns carry Clause and Detail only — schedule context
 // (Step, Op) is the caller's to fill in.
-type Scanner struct {
+type scanner struct {
 	S *soc.SoC
 	K *kernel.Kernel
 	// Marker is the plaintext the protected workload planted; finding it
@@ -28,15 +27,12 @@ type Scanner struct {
 	// sealed under it must stay safe even after deep-lock zeroizes the
 	// live copy, so the post-mortem keyfinder compares against this.
 	VolKey0 []byte
-	// FuzzBudget is how many decayed bytes a remanence-image marker match
-	// may tolerate and still count as recoverable plaintext.
-	FuzzBudget int
 }
 
 // ScanLive enforces the live locked-state clauses — (dram) and (writeback).
 // Call it only while the device is locked; the unlocked plaintext window is
 // the exposure the paper's threat model accepts.
-func (sc *Scanner) ScanLive() *Violation {
+func (sc *scanner) ScanLive() *Violation {
 	// (dram) the raw DRAM chips, exactly as a physical attacker would read
 	// them this instant.
 	if attack.Contains(sc.S.DRAM.Store(), sc.Marker) {
@@ -54,7 +50,7 @@ func (sc *Scanner) ScanLive() *Violation {
 
 // nearMissSlack relaxes the remanence decay budget for near-miss detection:
 // an image that fails the marker match only because decay chewed a few more
-// bytes than FuzzBudget tolerates was one colder boot away from a violation.
+// bytes than fuzzBudget tolerates was one colder boot away from a violation.
 const nearMissSlack = 8
 
 // NearMiss scans the decayed image with the remanence clause's decay budget
@@ -62,8 +58,8 @@ const nearMissSlack = 8
 // budget but (by construction of the caller) was not within the strict one —
 // a schedule that ended adjacent to a violation. The explorer banks such
 // prefixes into its corpus for future campaigns.
-func (sc *Scanner) NearMiss() bool {
-	relaxed := sc.FuzzBudget*4 + nearMissSlack
+func (sc *scanner) NearMiss() bool {
+	relaxed := fuzzBudget*4 + nearMissSlack
 	return attack.FuzzyContains(sc.S.DRAM.Store(), sc.Marker, relaxed) ||
 		attack.FuzzyContains(sc.S.IRAM.Store(), sc.Marker, relaxed)
 }
@@ -71,12 +67,12 @@ func (sc *Scanner) NearMiss() bool {
 // PostMortem enforces the after-power-loss clauses — (remanence) and (key) —
 // over the decayed memory image. Call it after a power cut that happened
 // while the device was locked.
-func (sc *Scanner) PostMortem(why string) *Violation {
+func (sc *scanner) PostMortem(why string) *Violation {
 	// (remanence) recoverable plaintext, tolerant of per-byte decay.
-	if attack.FuzzyContains(sc.S.DRAM.Store(), sc.Marker, sc.FuzzBudget) {
+	if attack.FuzzyContains(sc.S.DRAM.Store(), sc.Marker, fuzzBudget) {
 		return &Violation{Clause: "remanence", Detail: "plaintext marker recoverable from DRAM image after " + why}
 	}
-	if attack.FuzzyContains(sc.S.IRAM.Store(), sc.Marker, sc.FuzzBudget) {
+	if attack.FuzzyContains(sc.S.IRAM.Store(), sc.Marker, fuzzBudget) {
 		return &Violation{Clause: "remanence", Detail: "plaintext marker recoverable from iRAM image after " + why}
 	}
 	// (key) the volatile root key, via the Halderman-style keyfinder.

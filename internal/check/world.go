@@ -211,11 +211,18 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("step %d (%s): clause %s: %s", v.Step, v.Op, v.Clause, v.Detail)
 }
 
+// PIN unlocks every world's kernel; a platform booted for Host must be
+// built with it.
+const PIN = "4321"
+
+// marker is the plaintext every world plants in its sensitive processes;
+// finding it where an attacker could read it is a violation.
+var marker = []byte("INVARIANT-MARKER-XYZZY")
+
 const (
-	worldPIN = "4321"
-	badPIN   = "0000"
-	fgPages  = 8
-	bgPages  = 16
+	badPIN  = "0000"
+	fgPages = 8
+	bgPages = 16
 	// blipSeconds is the checker's power-cut duration: the paper's ~50 ms
 	// reset blip, which keeps nearly all remanent bits — the worst case
 	// for the defender and therefore the right default for checking.
@@ -281,6 +288,9 @@ type dfaState struct {
 }
 
 // World is one instantiated platform + Sentry + workload under check.
+// NewWorld and Host build one. A literal holding only S, K and Sn is a bare
+// platform: it can Fork, FreezeBase and serve as a Deflate base but runs no
+// ops; the fleet keeps its shared base image that way.
 type World struct {
 	Cfg  Config
 	Seed int64
@@ -324,9 +334,8 @@ func (p *busProbe) Observe(tx bus.Transaction) {
 }
 
 // NewWorld builds a deterministic world for (cfg, seed): platform, kernel,
-// Sentry with the configured defences, a sensitive foreground process and a
-// sensitive background process filled with the plaintext marker, a bus
-// probe where the platform exposes the bus, and a fault injector when the
+// Sentry with the configured defences, the sensitive workload (see Host), a
+// bus probe where the platform exposes the bus, and a fault injector when the
 // profile is active.
 func NewWorld(cfg Config, seed int64) *World {
 	var prof soc.Profile
@@ -355,7 +364,7 @@ func NewWorld(cfg Config, seed int64) *World {
 		panic(fmt.Sprintf("check: unknown countermeasure %q", cfg.Counter))
 	}
 	s := soc.New(prof, seed)
-	k := kernel.New(s, worldPIN)
+	k := kernel.New(s, PIN)
 	k.IdleLockSeconds = 900
 	reserved := 0
 	if cfg.Cache == CacheReserved {
@@ -369,17 +378,10 @@ func NewWorld(cfg Config, seed int64) *World {
 	if err != nil {
 		panic(fmt.Sprintf("check: world build failed: %v", err))
 	}
-	w := &World{
-		Cfg: cfg, Seed: seed, S: s, K: k, Sn: sn,
-		marker:  []byte("INVARIANT-MARKER-XYZZY"),
-		volKey0: sn.Keys().VolatileKey(),
+	w, err := Host(cfg, seed, s, k, sn)
+	if err != nil {
+		panic(fmt.Sprintf("check: world setup failed: %v", err))
 	}
-	w.fg = k.NewProcess("fg", true, false)
-	w.bg = k.NewProcess("bg", true, true)
-	w.fgBase, _ = k.MapAnon(w.fg, fgPages)
-	w.bgBase, _ = k.MapAnon(w.bg, bgPages)
-	w.fill(w.fg, w.fgBase, fgPages)
-	w.fill(w.bg, w.bgBase, bgPages)
 	if cfg.Cache != "" {
 		w.setupCacheAttack()
 	}
@@ -388,13 +390,9 @@ func NewWorld(cfg Config, seed int64) *World {
 		s.Bus.Attach(w.probe)
 	}
 	// A DFA config needs the injector as the cipher's round-fault hook even
-	// when the probabilistic fault profile is inactive; only an active
-	// profile attaches the probe machinery to Sentry.
+	// when the probabilistic fault profile is inactive.
 	if cfg.Faults.Active() || cfg.DFA != "" {
-		w.inj = faults.New(cfg.Faults, seed*2654435761+97)
-		if cfg.Faults.Active() {
-			w.inj.Attach(sn)
-		}
+		w.AttachFaults(seed*2654435761 + 97)
 	}
 	if cfg.DFA != "" {
 		w.setupDFA()
@@ -402,14 +400,54 @@ func NewWorld(cfg Config, seed int64) *World {
 	return w
 }
 
-func (w *World) fill(p *kernel.Process, base mmu.VirtAddr, pages int) {
+// Host runs the world setup on a platform that is already booted with PIN:
+// it captures the volatile root key as it stands, creates a sensitive
+// foreground and a sensitive background process, and fills them with the
+// plaintext marker. The world has no bus probe, attack surface or fault
+// injector; AttachFaults adds the injector. The fleet hosts each device this
+// way on its rekeyed fork of the shared base image.
+func Host(cfg Config, seed int64, s *soc.SoC, k *kernel.Kernel, sn *core.Sentry) (*World, error) {
+	w := &World{
+		Cfg: cfg, Seed: seed, S: s, K: k, Sn: sn,
+		marker:  marker,
+		volKey0: sn.Keys().VolatileKey(),
+	}
+	w.fg = k.NewProcess("fg", true, false)
+	w.bg = k.NewProcess("bg", true, true)
+	var err error
+	if w.fgBase, err = k.MapAnon(w.fg, fgPages); err != nil {
+		return nil, err
+	}
+	if w.bgBase, err = k.MapAnon(w.bg, bgPages); err != nil {
+		return nil, err
+	}
+	if err := w.fill(w.fg, w.fgBase, fgPages); err != nil {
+		return nil, err
+	}
+	if err := w.fill(w.bg, w.bgBase, bgPages); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// AttachFaults gives the world a fault injector for Cfg.Faults seeded with
+// seed, wired into the platform when the profile is active.
+func (w *World) AttachFaults(seed int64) {
+	w.inj = faults.New(w.Cfg.Faults, seed)
+	if w.Cfg.Faults.Active() {
+		w.inj.Attach(w.Sn)
+	}
+}
+
+func (w *World) fill(p *kernel.Process, base mmu.VirtAddr, pages int) error {
 	w.K.Switch(p)
 	for i := 0; i < pages; i++ {
 		line := append(append([]byte{}, w.marker...), byte(i))
 		if err := w.S.CPU.Store(base+mmu.VirtAddr(i*mem.PageSize), line); err != nil {
-			panic(fmt.Sprintf("check: marker fill failed: %v", err))
+			return fmt.Errorf("marker fill: %v", err)
 		}
 	}
+	return nil
 }
 
 // setupCacheAttack places the victim's lookup table per the configured
@@ -445,7 +483,7 @@ func (w *World) setupCacheAttack() {
 			w.S.CPU.ReadPhys(st.table+mem.PhysAddr(e*geo.LineSize), b[:])
 		}
 	}
-	for _, ch := range []byte(worldPIN) {
+	for _, ch := range []byte(PIN) {
 		st.trueSet |= 1 << (int(ch-'0') % victimEntries)
 	}
 	// The locked-way count at setup is public (a fixed hardware reservation);
@@ -476,7 +514,7 @@ func (w *World) bindAttackDrivers() {
 func (w *World) victimWalk() {
 	var b [4]byte
 	geo := w.S.L2.Config()
-	for _, ch := range []byte(worldPIN) {
+	for _, ch := range []byte(PIN) {
 		e := int(ch-'0') % victimEntries
 		w.S.CPU.ReadPhys(w.atk.table+mem.PhysAddr(e*geo.LineSize), b[:])
 	}
@@ -747,34 +785,27 @@ func (w *World) Apply(op Op) (v *Violation) {
 			if !ok {
 				panic(r)
 			}
-			v = w.powerLoss(ab.Seconds, ab.Reason, op)
+			v = w.at(w.PowerLoss(ab.Seconds, ab.Reason), op)
 		}
 	}()
 	switch op.Code {
 	case OpLock:
-		w.K.Lock()
+		w.Lock()
 	case OpUnlock:
-		w.bgOn = false // the session ends inside Unlock
-		_ = w.K.Unlock(worldPIN)
+		_ = w.Unlock()
 	case OpBadPIN:
-		_ = w.K.Unlock(badPIN)
+		_ = w.BadPIN()
 	case OpFgTouch:
 		if w.K.State() == kernel.Unlocked {
-			w.K.Switch(w.fg)
-			pg := int(op.Arg) % fgPages
-			_ = w.S.CPU.Load(w.fgBase+mmu.VirtAddr(pg*mem.PageSize), make([]byte, 32))
+			_ = w.Touch(false, uint64(op.Arg), make([]byte, 32))
 		}
 	case OpBgBegin:
 		if w.K.State() != kernel.Unlocked && !w.bgOn {
-			if err := w.Sn.BeginBackground(w.bg, 128); err == nil {
-				w.bgOn = true
-			}
+			_ = w.BeginBackground(false)
 		}
 	case OpBgTouch:
 		if w.bgOn {
-			w.K.Switch(w.bg)
-			pg := int(op.Arg) % bgPages
-			_ = w.S.CPU.Load(w.bgBase+mmu.VirtAddr(pg*mem.PageSize), make([]byte, 32))
+			_ = w.Touch(true, uint64(op.Arg), make([]byte, 32))
 		}
 	case OpFreePage:
 		w.freePage(int(op.Arg) % fgPages)
@@ -808,11 +839,11 @@ func (w *World) Apply(op Op) (v *Violation) {
 			}
 		}
 	case OpPowerCut:
-		return w.powerLoss(blipSeconds, "power cut", op)
+		return w.at(w.PowerLoss(blipSeconds, "power cut"), op)
 	case OpHeldReset:
-		return w.heldReset(op)
+		return w.at(w.heldReset(), op)
 	case OpGlitchReset:
-		return w.glitchReset(op)
+		return w.at(w.glitchReset(), op)
 	case OpPrimeProbe:
 		if w.atk != nil && w.atk.pp != nil {
 			res := w.atk.pp.Run(w.victimWalk)
@@ -857,6 +888,63 @@ func (w *World) Apply(op Op) (v *Violation) {
 	return w.scan(op)
 }
 
+// The ops below are the ones the checker and the fleet both serve. Each
+// returns the device's error; Apply ignores it, the fleet types it.
+
+// Lock locks the screen: encrypt-on-lock.
+func (w *World) Lock() { w.K.Lock() }
+
+// Unlock presents the right PIN. A locked-background session ends inside
+// Unlock, whatever it returns.
+func (w *World) Unlock() error {
+	w.bgOn = false
+	return w.K.Unlock(PIN)
+}
+
+// BadPIN presents a wrong PIN; enough of them deep-lock the device.
+func (w *World) BadPIN() error { return w.K.Unlock(badPIN) }
+
+// BeginBackground starts a locked-background session for the background
+// process: a 128 KB locked-way session, or with pinned a 4-page pool pinned
+// in iRAM (the §10 pin-on-SoC variant). The caller checks the lock state.
+func (w *World) BeginBackground(pinned bool) error {
+	var err error
+	if pinned {
+		err = w.Sn.BeginBackgroundPinned(w.bg, 4)
+	} else {
+		err = w.Sn.BeginBackground(w.bg, 128)
+	}
+	if err == nil {
+		w.bgOn = true
+	}
+	return err
+}
+
+// Touch reads len(buf) bytes from the start of one foreground (or, with bg,
+// background) page, picked by arg modulo the mapping, and reports a page
+// that is unreadable or whose bytes differ from the planted marker over
+// their common length. The caller checks that the process may run.
+func (w *World) Touch(bg bool, arg uint64, buf []byte) error {
+	p, base, pages := w.fg, w.fgBase, uint64(fgPages)
+	if bg {
+		p, base, pages = w.bg, w.bgBase, bgPages
+	}
+	w.K.Switch(p)
+	pg := int(arg % pages)
+	if err := w.S.CPU.Load(base+mmu.VirtAddr(pg*mem.PageSize), buf); err != nil {
+		return fmt.Errorf("%s page %d unreadable: %v", p.Name, pg, err)
+	}
+	n := min(len(buf), len(w.marker))
+	if !bytes.Equal(buf[:n], w.marker[:n]) {
+		return fmt.Errorf("%s page %d corrupted", p.Name, pg)
+	}
+	return nil
+}
+
+// MarkerLen is the length of the planted marker: a Touch buffer of this
+// size reads exactly the marker back.
+func (w *World) MarkerLen() int { return len(w.marker) }
+
 // freePage frees one foreground page while unlocked and re-arms it with a
 // fresh frame so later touches stay valid. The freed frame rides the zero
 // queue — the surface the zero-on-free defence covers.
@@ -877,9 +965,17 @@ func (w *World) freePage(pg int) {
 	}
 }
 
-// scanner returns the reusable Scanner view of this world's invariant.
-func (w *World) scanner() *Scanner {
-	return &Scanner{S: w.S, K: w.K, Marker: w.marker, VolKey0: w.volKey0, FuzzBudget: fuzzBudget}
+// scanner returns the scan-clause view of this world's invariant.
+func (w *World) scanner() *scanner {
+	return &scanner{S: w.S, K: w.K, Marker: w.marker, VolKey0: w.volKey0}
+}
+
+// at stamps a violation with its schedule context; nil stays nil.
+func (w *World) at(v *Violation, op Op) *Violation {
+	if v != nil {
+		v.Step, v.Op = w.step, op
+	}
+	return v
 }
 
 // scan enforces the invariant at a step boundary while the device is
@@ -894,12 +990,8 @@ func (w *World) scan(op Op) *Violation {
 	if w.K.State() == kernel.Unlocked {
 		return nil
 	}
-	// (dram) and (writeback) via the shared Scanner clauses.
-	if v := w.scanner().ScanLive(); v != nil {
-		v.Step, v.Op = w.step, op
-		return v
-	}
-	return nil
+	// (dram) and (writeback) via the scanner clauses.
+	return w.at(w.scanner().ScanLive(), op)
 }
 
 // dmaScan mounts the paper's DMA-peripheral attack; on platforms without an
@@ -919,51 +1011,68 @@ func (w *World) dmaScan(op Op) *Violation {
 	return w.scan(op)
 }
 
-// powerLoss cuts power for the given seconds and post-mortems the decayed
-// image. The device is dead afterwards.
-func (w *World) powerLoss(seconds float64, why string, op Op) *Violation {
-	wasLocked := w.K.State() != kernel.Unlocked
+// PowerLoss cuts power for the given seconds and post-mortems the decayed
+// image, naming the cause why in any violation. The world is dead
+// afterwards.
+func (w *World) PowerLoss(seconds float64, why string) *Violation {
+	w.cutLocked = w.K.State() != kernel.Unlocked
 	w.S.PowerCut(seconds, remanence.RoomTempC)
-	w.dead, w.cutLocked = true, wasLocked
-	return w.postMortem(wasLocked, why, op)
+	w.dead = true
+	return w.postMortem(why)
 }
 
 // heldReset is the paper's 2-second held reset into an attacker image. A
 // locked bootloader rejects the unsigned dump image, but the power loss
 // happens physically regardless — fall back to a raw cut.
-func (w *World) heldReset(op Op) *Violation {
-	wasLocked := w.K.State() != kernel.Unlocked
+func (w *World) heldReset() *Violation {
+	w.cutLocked = w.K.State() != kernel.Unlocked
 	if err := w.S.HeldReset(heldResetSeconds, firmware.Image{Name: "memdump"}); err != nil {
 		w.S.PowerCut(heldResetSeconds, remanence.RoomTempC)
 	}
-	w.dead, w.cutLocked = true, wasLocked
-	return w.postMortem(wasLocked, "held reset", op)
+	w.dead = true
+	return w.postMortem("held reset")
 }
 
 // glitchReset is the adversarial reset-glitch: cold boot with the ROM's
 // iRAM zeroing and image verification skipped.
-func (w *World) glitchReset(op Op) *Violation {
-	wasLocked := w.K.State() != kernel.Unlocked
+func (w *World) glitchReset() *Violation {
+	w.cutLocked = w.K.State() != kernel.Unlocked
 	w.S.GlitchedReset(glitchSeconds, firmware.Image{Name: "memdump"})
-	w.dead, w.cutLocked = true, wasLocked
-	return w.postMortem(wasLocked, "glitched reset", op)
+	w.dead = true
+	return w.postMortem("glitched reset")
 }
 
 // postMortem scans the remanence image after power loss. Only a device that
 // was locked at the cut is in scope: the pre-lock plaintext window is the
-// exposure the paper's threat model accepts.
-func (w *World) postMortem(wasLocked bool, why string, op Op) *Violation {
-	if !wasLocked {
+// exposure the paper's threat model accepts. The reference key is the one
+// generated at boot: deep-lock zeroizes the live copy, but ciphertext sealed
+// under the original must stay safe.
+func (w *World) postMortem(why string) *Violation {
+	if !w.cutLocked {
 		return nil
 	}
-	// (remanence) and (key) via the shared Scanner clauses. The reference
-	// key is the one generated at boot: deep-lock zeroizes the live copy,
-	// but ciphertext sealed under the original must stay safe.
-	if v := w.scanner().PostMortem(why); v != nil {
-		v.Step, v.Op = w.step, op
-		return v
+	return w.scanner().PostMortem(why)
+}
+
+// Abandon marks the world dead without a power cut: its harness caught a
+// bug mid-op and can no longer trust its state. Nothing is post-mortemed.
+func (w *World) Abandon() { w.dead, w.cutLocked = true, false }
+
+// Sweep is the end-of-run confidentiality check over a final world: detach
+// the fault injector so nothing can interrupt it, lock, scan the live locked
+// image, then cut power for a blip and post-mortem the decayed image, naming
+// the cause why. live and cut are the two scans' violations. The world is
+// dead afterwards.
+func (w *World) Sweep(why string) (live, cut *Violation) {
+	if w.inj != nil {
+		faults.Detach(w.Sn)
+		w.inj = nil
 	}
-	return nil
+	if w.K.State() == kernel.Unlocked {
+		w.K.Lock()
+	}
+	live = w.scanner().ScanLive()
+	return live, w.PowerLoss(blipSeconds, why)
 }
 
 // IntegrityCheck verifies end-to-end data integrity after a schedule on a
@@ -973,7 +1082,7 @@ func (w *World) IntegrityCheck() error {
 	if w.dead || w.Perturbed() {
 		return nil
 	}
-	if err := w.K.Unlock(worldPIN); err != nil {
+	if err := w.K.Unlock(PIN); err != nil {
 		if w.K.State() == kernel.DeepLocked {
 			return nil
 		}

@@ -7,17 +7,13 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sentry"
 	"sentry/internal/blockdev"
 	"sentry/internal/check"
 	"sentry/internal/core"
 	"sentry/internal/dmcrypt"
 	"sentry/internal/faults"
 	"sentry/internal/kernel"
-	"sentry/internal/mem"
-	"sentry/internal/mmu"
 	"sentry/internal/onsoc"
-	"sentry/internal/remanence"
 	"sentry/internal/snapshot"
 	"sentry/internal/soc"
 )
@@ -89,29 +85,12 @@ type LedgerEntry struct {
 	Err  string `json:"err,omitempty"` // "" on success
 }
 
-const (
-	fgPages    = 8
-	bgPages    = 16
-	badPIN     = "0000"
-	fuzzBudget = 4
-)
-
-// fleetMarker is the plaintext every hosted device plants in its sensitive
-// processes; the confidentiality sweeps scan for it.
-var fleetMarker = []byte("FLEET-SOAK-MARKER-XYZZY")
-
-// device is one booted simulated device plus the workload state the actor
-// drives on it. Everything here is owned by one goroutine at a time: the
+// device is one hosted check.World — the simulated device, its sensitive
+// workload and its confidentiality scans — plus the encrypted disk only the
+// fleet serves. Everything here is owned by one goroutine at a time: the
 // resident actor's, or — between park and hydrate — nobody's.
 type device struct {
-	dev     *sentry.Device
-	pin     string
-	marker  []byte
-	volKey0 []byte // volatile root key as generated at the base boot
-
-	fg, bg         *kernel.Process
-	fgBase, bgBase mmu.VirtAddr
-	bgOn           bool
+	w *check.World
 
 	dm       *dmcrypt.DMCrypt
 	disk     *blockdev.RAMDisk
@@ -119,65 +98,43 @@ type device struct {
 	diskKey  []byte
 	diskDown bool // true when disk crypto degraded to the DRAM-arena provider
 	shadow   map[uint64][]byte
-
-	inj *faults.Injector
-
-	// dead marks a device killed by a power cut that was not followed by a
-	// reboot (quarantine); wasLockedAtCut scopes the post-mortem sweep.
-	dead           bool
-	wasLockedAtCut bool
 }
 
 // Fork returns an independent continuation of the device — world forked
-// copy-on-write, processes re-mapped by PID, disk and crypto engine
-// re-pointed at the forked stores, fault stream cloned at its position —
-// so the fork replays exactly what the original would have done. It is
-// what snapshot.Snapshot[*device] parks and hydrates.
+// (World.Fork), disk and crypto engine re-pointed at the forked stores — so
+// the fork replays exactly what the original would have done. It is what
+// snapshot.Snapshot[*device] parks and hydrates.
 func (d *device) Fork() *device {
-	sd2 := d.dev.Fork()
+	w2 := d.w.Fork()
 	d2 := &device{
-		dev:            sd2,
-		pin:            d.pin,
-		marker:         d.marker,
-		volKey0:        d.volKey0,
-		fgBase:         d.fgBase,
-		bgBase:         d.bgBase,
-		bgOn:           d.bgOn,
-		diskKey:        d.diskKey,
-		diskDown:       d.diskDown,
-		shadow:         make(map[uint64][]byte, len(d.shadow)),
-		dead:           d.dead,
-		wasLockedAtCut: d.wasLockedAtCut,
+		w:        w2,
+		diskKey:  d.diskKey,
+		diskDown: d.diskDown,
+		shadow:   make(map[uint64][]byte, len(d.shadow)),
 	}
-	d2.fg = sd2.Kernel.Process(d.fg.PID)
-	d2.bg = sd2.Kernel.Process(d.bg.PID)
 	for sec, buf := range d.shadow {
 		d2.shadow[sec] = buf // written sectors are immutable once recorded
 	}
-	d2.disk = d.disk.Fork(sd2.SoC)
-	prov, err := d.prov.Adopt(sd2.SoC, d.diskKey, sd2.Sentry.IRAM())
+	d2.disk = d.disk.Fork(w2.S)
+	prov, err := d.prov.Adopt(w2.S, d.diskKey, w2.Sn.IRAM())
 	if err != nil {
 		panic(fmt.Sprintf("fleet: device fork: crypto adopt failed: %v", err))
 	}
 	d2.prov = prov
 	d2.dm = d.dm.Refit(d2.disk, prov)
-	if d.inj != nil {
-		d2.inj = d.inj.Clone()
-		d2.inj.Attach(sd2.Sentry)
-	}
 	return d2
 }
 
 // Deflate re-encodes a parked device as a delta against the fleet's frozen
-// base world (see soc.SoC.Deflate): only the memory pages and cache lines
-// that diverged from the shared post-boot image stay resident. The disk
-// keeps its own store — its ciphertext is under a per-device key, so there
-// is no shared base to delta against, and it is already sparse (written
-// sectors only); it is charged to the returned footprint along with the
-// sector shadow. Call only on a parked, exclusively owned device; the next
-// Fork re-inflates a dense, byte-identical copy.
-func (d *device) Deflate(base *sentry.Device) int64 {
-	return d.dev.Deflate(base) + d.looseBytes()
+// base world (World.Deflate): only the memory pages and cache lines that
+// diverged from the shared post-boot image stay resident. The disk keeps its
+// own store — its ciphertext is under a per-device key, so there is no
+// shared base to delta against, and it is already sparse (written sectors
+// only); it is charged to the returned footprint along with the sector
+// shadow. Call only on a parked, exclusively owned device; the next Fork
+// re-inflates a dense, byte-identical copy.
+func (d *device) Deflate(base *check.World) int64 {
+	return d.w.Deflate(base) + d.looseBytes()
 }
 
 // looseBytes is the device state outside the SoC: materialised disk sectors
@@ -293,7 +250,7 @@ func (a *actor) exit() {
 // a boot.
 func (a *actor) hydrate() {
 	d := a.sl.parked.Fork()
-	d.dev.Metrics().BindOwner()
+	d.w.Sn.Metrics().BindOwner()
 	a.d = d
 	a.f.ctrHydrations.Inc()
 }
@@ -302,7 +259,7 @@ func (a *actor) hydrate() {
 // fleet's shared base and adopt it into the slot's snapshot (no copy; the
 // next hydration forks a dense reconstruction), so a parked device rests at
 // O(divergence from base) instead of O(everything it ever touched). A park
-// implies a prior boot, so baseDev is published (the booting actor's
+// implies a prior boot, so f.base is published (the booting actor's
 // baseOnce.Do happened-before it parked). A dead or boot-failed world is
 // discarded instead — its terminal state is already recorded on the slot,
 // and a quarantined slot never re-instantiates.
@@ -311,11 +268,11 @@ func (a *actor) park() {
 		r.reply <- result{err: ErrShed}
 	}
 	var bytes int64
-	if a.d != nil && !a.d.dead {
+	if a.d != nil && !a.d.w.Dead() {
 		if a.f.opt.testPark != nil {
 			a.sl.parked, bytes = a.f.opt.testPark(a.d)
 		} else {
-			a.sl.parked, bytes = snapshot.CaptureDelta[*device, *sentry.Device](a.d, a.f.baseDev)
+			a.sl.parked, bytes = snapshot.CaptureDelta[*device, *check.World](a.d, a.f.base)
 		}
 	} else {
 		a.sl.parked = nil
@@ -370,7 +327,7 @@ func (a *actor) execGuarded(r *request) (res Result, err error) {
 			return v, e
 		}
 	}
-	if a.d == nil || a.d.dead {
+	if a.d == nil || a.d.w.Dead() {
 		return Result{}, fmt.Errorf("fleet: device %d has no live boot: %w", a.sl.id, ErrDeviceRestarted)
 	}
 	return a.exec(r.op)
@@ -386,18 +343,15 @@ func (a *actor) recoverPanic(rec any) error {
 	var cause string
 	if ab, ok := rec.(faults.Abort); ok {
 		cause = "fault: " + ab.String()
-		if a.d != nil && !a.d.dead {
-			wasLocked := a.d.dev.Kernel.State() != kernel.Unlocked
-			a.d.dev.SoC.PowerCut(ab.Seconds, remanence.RoomTempC)
-			a.d.dead, a.d.wasLockedAtCut = true, wasLocked
-			if wasLocked {
-				a.scanCorpse("power loss (" + ab.Reason + ")")
+		if a.d != nil && !a.d.w.Dead() {
+			if v := a.d.w.PowerLoss(ab.Seconds, "power loss ("+ab.Reason+")"); v != nil {
+				a.sl.addViolation(fmt.Sprintf("device %d: clause %s: %s", a.sl.id, v.Clause, v.Detail))
 			}
 		}
 	} else {
 		cause = fmt.Sprintf("panic: %v", rec)
 		if a.d != nil {
-			a.d.dead, a.d.wasLockedAtCut = true, false
+			a.d.w.Abandon()
 		}
 	}
 	a.sl.addCause(cause)
@@ -411,10 +365,9 @@ func (a *actor) recoverPanic(rec any) error {
 	return fmt.Errorf("fleet: device %d: %s: %w", a.sl.id, cause, ErrDeviceRestarted)
 }
 
-// reboot boots a fresh device — forked from the fleet's shared post-boot
-// snapshot, or cold when snapshots are disabled. Boot failure is terminal:
-// the device is quarantined (nothing a retry could change about a
-// deterministic boot).
+// reboot boots a fresh device forked from the fleet's shared post-boot
+// snapshot. Boot failure is terminal: the device is quarantined (nothing a
+// retry could change about a deterministic boot).
 func (a *actor) reboot(why string) {
 	a.sl.boots.Add(1)
 	d, err := a.bootDevice()
@@ -428,22 +381,6 @@ func (a *actor) reboot(why string) {
 	a.d = d
 	if d.diskDown {
 		a.f.ctrCryptoDowngrades.Inc()
-	}
-}
-
-// scanCorpse runs the shared post-mortem confidentiality clauses over the
-// power-cut image; scanner returns carry no schedule context, so tag them
-// with the device here.
-func (a *actor) scanCorpse(why string) {
-	if v := deviceScanner(a.d).PostMortem(why); v != nil {
-		a.sl.addViolation(fmt.Sprintf("device %d: clause %s: %s", a.sl.id, v.Clause, v.Detail))
-	}
-}
-
-func deviceScanner(d *device) *check.Scanner {
-	return &check.Scanner{
-		S: d.dev.SoC, K: d.dev.Kernel,
-		Marker: d.marker, VolKey0: d.volKey0, FuzzBudget: fuzzBudget,
 	}
 }
 
@@ -496,11 +433,11 @@ func deviceVolKey(base []byte, id DeviceID) []byte {
 }
 
 // bootDevice builds one fresh simulated device with the fleet workload: a
-// sensitive foreground and background process filled with the plaintext
-// marker, an encrypted disk, and (when configured) a fault injector. The
-// platform boot itself is shared — every device forks the fleet's one base
-// snapshot (built lazily by the first boot anywhere in the fleet) — and
-// only the per-device setup below runs per boot.
+// hosted check.World (sensitive foreground and background processes filled
+// with the plaintext marker), an encrypted disk, and (when configured) a
+// fault injector. The platform boot itself is shared — every device forks
+// the fleet's one base world (built lazily by the first boot anywhere in the
+// fleet) — and only the per-device setup below runs per boot.
 func (a *actor) bootDevice() (*device, error) {
 	opt, id := a.f.opt, a.sl.id
 	seed := bootSeed(opt.Seed, id)
@@ -508,47 +445,30 @@ func (a *actor) bootDevice() (*device, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd := base.Fork()
+	bw := base.Fork()
 	// The actor goroutine owns this device; bind the metrics registry so
 	// debug/race builds catch any cross-goroutine wiring.
-	sd.Metrics().BindOwner()
+	bw.Sn.Metrics().BindOwner()
 
 	// Stamp a per-device volatile key over the shared boot image, before
 	// anything seals. The derivation is deterministic in (base key, id), so
 	// every reboot of this device regenerates the same key while no two
 	// devices share one — capturing a fleet-wide key from one parked delta
 	// must not unlock its neighbours.
-	if err := sd.Sentry.Rekey(deviceVolKey(sd.Sentry.Keys().VolatileKey(), id)); err != nil {
+	if err := bw.Sn.Rekey(deviceVolKey(bw.Sn.Keys().VolatileKey(), id)); err != nil {
 		return nil, err
 	}
-
-	d := &device{
-		dev:     sd,
-		pin:     opt.PIN,
-		marker:  fleetMarker,
-		volKey0: append([]byte(nil), sd.Sentry.Keys().VolatileKey()...),
-		shadow:  make(map[uint64][]byte),
+	w, err := check.Host(check.Config{Faults: opt.Faults}, seed, bw.S, bw.K, bw.Sn)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	d.fg = sd.Kernel.NewProcess("fg", true, false)
-	d.bg = sd.Kernel.NewProcess("bg", true, true)
-	if d.fgBase, err = sd.Kernel.MapAnon(d.fg, fgPages); err != nil {
-		return nil, err
-	}
-	if d.bgBase, err = sd.Kernel.MapAnon(d.bg, bgPages); err != nil {
-		return nil, err
-	}
-	if err := fill(d, d.fg, d.fgBase, fgPages); err != nil {
-		return nil, err
-	}
-	if err := fill(d, d.bg, d.bgBase, bgPages); err != nil {
-		return nil, err
-	}
+	d := &device{w: w, shadow: make(map[uint64][]byte)}
 
 	// Graceful-degradation pressure: on squeezed devices, occupy iRAM down
 	// to a sliver so per-volume engines and pinned pools must fall back.
 	if opt.SqueezeEvery > 0 && (uint64(id)+1)%uint64(opt.SqueezeEvery) == 0 {
-		if free := sd.Sentry.IRAM().Free(); free > 256 {
-			if _, err := sd.Sentry.IRAM().Alloc(free - 256); err != nil {
+		if free := w.Sn.IRAM().Free(); free > 256 {
+			if _, err := w.Sn.IRAM().Alloc(free - 256); err != nil {
 				return nil, err
 			}
 		}
@@ -559,21 +479,9 @@ func (a *actor) bootDevice() (*device, error) {
 	}
 
 	if opt.Faults.Active() {
-		d.inj = faults.New(opt.Faults, seed|1)
-		d.inj.Attach(sd.Sentry)
+		w.AttachFaults(seed | 1)
 	}
 	return d, nil
-}
-
-func fill(d *device, p *kernel.Process, base mmu.VirtAddr, pages int) error {
-	d.dev.Kernel.Switch(p)
-	for i := 0; i < pages; i++ {
-		line := append(append([]byte{}, d.marker...), byte(i))
-		if err := d.dev.SoC.CPU.Store(base+mmu.VirtAddr(i*mem.PageSize), line); err != nil {
-			return fmt.Errorf("fleet: marker fill: %v", err)
-		}
-	}
-	return nil
 }
 
 // buildDisk creates the device's dm-crypt volume. The preferred engine is a
@@ -588,12 +496,12 @@ func (d *device) buildDisk(opt Options, seed int64) error {
 		key[i] = byte(h)
 	}
 	d.diskKey = key
-	eng, err := onsoc.NewInIRAM(d.dev.SoC, d.dev.Sentry.IRAM(), key)
+	eng, err := onsoc.NewInIRAM(d.w.S, d.w.Sn.IRAM(), key)
 	switch {
 	case err == nil:
 		d.prov = core.NewOnSoCProvider(eng)
 	case errors.Is(err, onsoc.ErrIRAMExhausted):
-		gp, gerr := core.NewGenericProvider(d.dev.SoC, dramArenaBase, key)
+		gp, gerr := core.NewGenericProvider(d.w.S, dramArenaBase, key)
 		if gerr != nil {
 			return gerr
 		}
@@ -602,7 +510,7 @@ func (d *device) buildDisk(opt Options, seed int64) error {
 	default:
 		return err
 	}
-	d.disk = blockdev.NewRAMDisk(d.dev.SoC, uint64(opt.DiskKB)<<10)
+	d.disk = blockdev.NewRAMDisk(d.w.S, uint64(opt.DiskKB)<<10)
 	dm, err := dmcrypt.NewWithProvider(d.disk, d.prov, key)
 	if err != nil {
 		return err
@@ -615,35 +523,32 @@ func (d *device) buildDisk(opt Options, seed int64) error {
 // goroutine under the panic boundary; fault hooks may unwind it at any
 // point with a faults.Abort.
 func (a *actor) exec(op Op) (Result, error) {
-	d := a.d
-	k := d.dev.Kernel
+	d, w := a.d, a.d.w
 	switch op.Code {
 	case OpPing:
-		return Result{State: k.State().String()}, nil
+		return Result{State: w.K.State().String()}, nil
 
 	case OpLock:
-		k.Lock()
+		w.Lock()
 		return Result{}, nil
 
 	case OpUnlock:
-		if err := k.Unlock(d.pin); err != nil {
+		if err := w.Unlock(); err != nil {
 			return a.unlockFailed(err)
 		}
-		d.bgOn = false // the session ends inside Unlock
 		return Result{}, nil
 
 	case OpBadPIN:
-		if err := k.Unlock(badPIN); err != nil {
+		if err := w.BadPIN(); err != nil {
 			return a.unlockFailed(err)
 		}
 		return Result{}, nil // device was already unlocked: a PIN-less no-op
 
 	case OpTouch:
-		if k.State() != kernel.Unlocked {
+		if w.K.State() != kernel.Unlocked {
 			return Result{}, fmt.Errorf("fleet: touch on a locked device: %w", kernel.ErrLocked)
 		}
-		k.Switch(d.fg)
-		return Result{}, d.verifyPage(d.fgBase, int(op.Arg)%fgPages, "fg")
+		return Result{}, touch(w, false, op.Arg)
 
 	case OpBgBegin:
 		return a.beginBg(false)
@@ -652,11 +557,10 @@ func (a *actor) exec(op Op) (Result, error) {
 		return a.beginBg(true)
 
 	case OpBgTouch:
-		if !d.bgOn {
+		if !w.BackgroundOn() {
 			return Result{}, fmt.Errorf("fleet: no background session: %w", kernel.ErrLocked)
 		}
-		k.Switch(d.bg)
-		return Result{}, d.verifyPage(d.bgBase, int(op.Arg)%bgPages, "bg")
+		return Result{}, touch(w, true, op.Arg)
 
 	case OpDiskWrite:
 		sec := op.Arg % d.dm.Sectors()
@@ -694,7 +598,7 @@ func (a *actor) exec(op Op) (Result, error) {
 // graceful path out of an otherwise bricked device — and reports the
 // request as retryable.
 func (a *actor) unlockFailed(err error) (Result, error) {
-	if a.d.dev.Kernel.State() == kernel.DeepLocked {
+	if a.d.w.K.State() == kernel.DeepLocked {
 		a.f.ctrRecoveries.Inc()
 		a.reboot("deep-lock recovery")
 		if a.d == nil {
@@ -708,45 +612,39 @@ func (a *actor) unlockFailed(err error) (Result, error) {
 // beginBg starts a background session. The pinned (§10 pin-on-SoC) variant
 // degrades to the locked-way session when iRAM is exhausted.
 func (a *actor) beginBg(pinned bool) (Result, error) {
-	d := a.d
-	if d.dev.Kernel.State() == kernel.Unlocked {
+	w := a.d.w
+	if w.K.State() == kernel.Unlocked {
 		return Result{}, fmt.Errorf("fleet: background sessions need a locked device: %w", kernel.ErrLocked)
 	}
-	if d.bgOn {
+	if w.BackgroundOn() {
 		return Result{Session: "bg-already-on"}, nil
 	}
-	if pinned {
-		err := d.dev.Sentry.BeginBackgroundPinned(d.bg, 4)
-		if err == nil {
-			d.bgOn = true
-			return Result{Session: "bg-pinned"}, nil
-		}
-		if !errors.Is(err, onsoc.ErrIRAMExhausted) {
+	if !pinned {
+		if err := w.BeginBackground(false); err != nil {
 			return Result{}, err
 		}
-		if err := d.dev.Sentry.BeginBackground(d.bg, 128); err != nil {
-			return Result{}, err
-		}
-		a.f.ctrBgDowngrades.Inc()
-		d.bgOn = true
-		return Result{Session: "bg-pinned-downgraded"}, nil
+		return Result{Session: "bg"}, nil
 	}
-	if err := d.dev.Sentry.BeginBackground(d.bg, 128); err != nil {
+	err := w.BeginBackground(true)
+	if err == nil {
+		return Result{Session: "bg-pinned"}, nil
+	}
+	if !errors.Is(err, onsoc.ErrIRAMExhausted) {
 		return Result{}, err
 	}
-	d.bgOn = true
-	return Result{Session: "bg"}, nil
+	if err := w.BeginBackground(false); err != nil {
+		return Result{}, err
+	}
+	a.f.ctrBgDowngrades.Inc()
+	return Result{Session: "bg-pinned-downgraded"}, nil
 }
 
-// verifyPage reads the marker line of one page and checks integrity — the
-// fleet's benign fault profile must never corrupt data.
-func (d *device) verifyPage(base mmu.VirtAddr, pg int, what string) error {
-	got := make([]byte, len(d.marker))
-	if err := d.dev.SoC.CPU.Load(base+mmu.VirtAddr(pg*mem.PageSize), got); err != nil {
-		return fmt.Errorf("fleet: %s page %d unreadable: %v", what, pg, err)
-	}
-	if !bytes.Equal(got, d.marker) {
-		return fmt.Errorf("fleet: %s page %d corrupted", what, pg)
+// touch reads the marker back from one page of the device's foreground (or
+// background) process — the fleet's benign fault profile must never corrupt
+// data.
+func touch(w *check.World, bg bool, arg uint64) error {
+	if err := w.Touch(bg, arg, make([]byte, w.MarkerLen())); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }
@@ -772,25 +670,17 @@ func sectorPattern(id DeviceID, sec, arg uint64) []byte {
 // world the device would have presented had it stayed resident. The
 // registry owner is re-bound here — a deliberate hand-off.
 func (sl *slot) sweep(d *device) {
-	if d == nil || d.dead {
+	if d == nil || d.w.Dead() {
 		// A quarantined corpse was already post-mortemed at the cut if it
 		// was locked; an unlocked corpse is the accepted pre-lock window.
 		return
 	}
-	d.dev.Metrics().BindOwner()
-	if d.inj != nil {
-		faults.Detach(d.dev.Sentry)
-		d.inj = nil
+	d.w.Sn.Metrics().BindOwner()
+	live, cut := d.w.Sweep("post-soak power cut")
+	if live != nil {
+		sl.addViolation(fmt.Sprintf("device %d (sweep): clause %s: %s", sl.id, live.Clause, live.Detail))
 	}
-	if d.dev.Kernel.State() == kernel.Unlocked {
-		d.dev.Kernel.Lock()
-	}
-	if v := deviceScanner(d).ScanLive(); v != nil {
-		sl.addViolation(fmt.Sprintf("device %d (sweep): clause %s: %s", sl.id, v.Clause, v.Detail))
-	}
-	d.dev.SoC.PowerCut(0.05, remanence.RoomTempC)
-	d.dead, d.wasLockedAtCut = true, true
-	if v := deviceScanner(d).PostMortem("post-soak power cut"); v != nil {
-		sl.addViolation(fmt.Sprintf("device %d: clause %s: %s", sl.id, v.Clause, v.Detail))
+	if cut != nil {
+		sl.addViolation(fmt.Sprintf("device %d: clause %s: %s", sl.id, cut.Clause, cut.Detail))
 	}
 }

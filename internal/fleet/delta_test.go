@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 	"time"
 
+	"sentry/internal/blockdev"
+	"sentry/internal/check"
 	"sentry/internal/snapshot"
 )
 
@@ -19,7 +22,7 @@ import (
 // footprint: the reference the delta encoding is measured against.
 func withFullPark(o *Options) {
 	o.testPark = func(d *device) (*snapshot.Snapshot[*device], int64) {
-		return snapshot.Adopt(d), d.dev.FootprintBytes() + d.looseBytes()
+		return snapshot.Adopt(d), d.w.S.FootprintBytes() + d.looseBytes()
 	}
 }
 
@@ -162,5 +165,63 @@ func TestParkedBytesGaugeLifecycle(t *testing.T) {
 	b2 := f.Metrics().GaugeValue(MetricParkedBytes)
 	if b2 <= 0 || b2 > 5*b1/2 {
 		t.Fatalf("parked bytes after re-park cycles = %d (first park %d): gauge accumulates", b2, b1)
+	}
+}
+
+// TestHydratedDeviceEqualsResident is delta parking's soundness at device
+// level: a device parked with snapshot.CaptureDelta and hydrated is
+// check.DiffWorlds-identical to a fork taken while it was resident (clock,
+// energy, RNG, registers, cache, lock state and memory), its written disk
+// sectors read back equal, and the two stay identical under further ops.
+func TestHydratedDeviceEqualsResident(t *testing.T) {
+	f := Open(4, WithSeed(3))
+	defer f.Stop()
+	a := &actor{f: f, sl: &slot{id: 2}}
+	d, err := a.bootDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.d = d
+	run := func(ops ...Op) {
+		t.Helper()
+		for _, op := range ops {
+			if _, err := a.exec(op); err != nil {
+				t.Fatalf("%v: %v", op.Code, err)
+			}
+		}
+	}
+	run(Op{Code: OpTouch, Arg: 5}, Op{Code: OpDiskWrite, Arg: 7}, Op{Code: OpDiskWrite, Arg: 40},
+		Op{Code: OpLock}, Op{Code: OpBgBegin}, Op{Code: OpBgTouch, Arg: 11})
+
+	resident := d.Fork()
+	parked, _ := snapshot.CaptureDelta[*device, *check.World](d, f.base)
+	a.d = parked.Fork()
+	if diff := check.DiffWorlds(resident.w, a.d.w); diff != "" {
+		t.Fatalf("hydrated device diverged from its resident fork: %s", diff)
+	}
+	for _, sec := range []uint64{7, 40} {
+		got, want := make([]byte, blockdev.SectorSize), make([]byte, blockdev.SectorSize)
+		if err := a.d.dm.ReadSector(sec, got); err != nil {
+			t.Fatalf("hydrated read of sector %d: %v", sec, err)
+		}
+		if err := resident.dm.ReadSector(sec, want); err != nil {
+			t.Fatalf("resident read of sector %d: %v", sec, err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, a.d.shadow[sec]) {
+			t.Fatalf("sector %d reads back differently after hydration", sec)
+		}
+	}
+
+	// Both continuations replay the same ops identically.
+	more := []Op{{Code: OpUnlock}, {Code: OpTouch, Arg: 2}, {Code: OpDiskRead, Arg: 40}, {Code: OpDiskWrite, Arg: 9}}
+	hydrated := a.d
+	for _, op := range more {
+		a.d = resident
+		run(op)
+		a.d = hydrated
+		run(op)
+		if diff := check.DiffWorlds(resident.w, hydrated.w); diff != "" {
+			t.Fatalf("hydrated device diverged after %v: %s", op.Code, diff)
+		}
 	}
 }

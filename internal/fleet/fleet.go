@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"sentry"
+	"sentry/internal/check"
 	"sentry/internal/faults"
 	"sentry/internal/obs"
 	"sentry/internal/snapshot"
@@ -76,13 +77,12 @@ const (
 
 // Options is the resolved configuration of a Fleet. Construct a fleet with
 // Open and functional options; Options remains exported as the resolved
-// form (and for the deprecated New). Every boot forks the fleet's shared
-// post-boot snapshot and every park is a delta against it; neither is an
-// option.
+// form. Every boot forks the fleet's shared post-boot snapshot and every
+// park is a delta against it; neither is an option. Every device unlocks
+// with check.PIN.
 type Options struct {
 	Devices int // logical device population (IDs [0, Devices))
 	Seed    int64
-	PIN     string // unlock PIN for every device (default "4321")
 
 	// Shards is the shard-manager count (default 8). Placement of device
 	// IDs onto shards is consistent-hashed and never affects results, only
@@ -140,9 +140,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.PIN == "" {
-		o.PIN = "4321"
-	}
 	if o.Shards <= 0 {
 		o.Shards = 8
 	}
@@ -187,9 +184,6 @@ type Option func(*Options)
 // WithSeed sets the fleet simulation seed (default 1).
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithPIN sets the unlock PIN of every hosted device.
-func WithPIN(pin string) Option { return func(o *Options) { o.PIN = pin } }
-
 // WithShards sets the shard-manager count.
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 
@@ -201,30 +195,8 @@ func WithResidentCap(n int) Option { return func(o *Options) { o.ResidentCap = n
 // it fail fast with ErrOverload.
 func WithMaxInflight(n int) Option { return func(o *Options) { o.MaxInflight = n } }
 
-// WithMailboxCap sets the per-device queue bound.
-func WithMailboxCap(n int) Option { return func(o *Options) { o.MailboxCap = n } }
-
-// WithMaxAttempts sets the total tries per request (first included).
-func WithMaxAttempts(n int) Option { return func(o *Options) { o.MaxAttempts = n } }
-
-// WithBackoff overrides the retry backoff schedule.
-func WithBackoff(b Backoff) Option { return func(o *Options) { o.Backoff = &b } }
-
-// WithBreaker overrides the per-device circuit-breaker configuration.
-func WithBreaker(cfg BreakerConfig) Option { return func(o *Options) { o.Breaker = cfg } }
-
-// WithRestartBudget sets how many fault-caused restarts a device absorbs
-// before quarantine.
-func WithRestartBudget(n int) Option { return func(o *Options) { o.RestartBudget = n } }
-
 // WithFaults sets the per-device fault profile.
 func WithFaults(p faults.Profile) Option { return func(o *Options) { o.Faults = p } }
-
-// WithDefaultTimeout bounds requests that carry no deadline of their own.
-func WithDefaultTimeout(d time.Duration) Option { return func(o *Options) { o.DefaultTimeout = d } }
-
-// WithClock substitutes the time source (tests use a fake).
-func WithClock(c Clock) Option { return func(o *Options) { o.Clock = c } }
 
 // WithSqueezeEvery squeezes the iRAM of every Nth device at boot.
 func WithSqueezeEvery(n int) Option { return func(o *Options) { o.SqueezeEvery = n } }
@@ -248,13 +220,14 @@ type Fleet struct {
 	admMax      int64
 	admInflight atomic.Int64
 
-	// base is the shared post-boot snapshot every device's boot forks:
-	// one pristine world per fleet, built lazily by the first boot.
-	// baseDev is the same world object, frozen (FreezeBase) so it can also
-	// serve as the read-only base delta parks deflate against.
+	// baseSnap is the shared post-boot snapshot every device's boot forks:
+	// one pristine platform per fleet, built lazily by the first boot and
+	// held as a check.World with no workload. base is the same world
+	// object, frozen (FreezeBase) so it can also serve as the read-only base
+	// delta parks deflate against.
 	baseOnce sync.Once
-	base     *snapshot.Snapshot[*sentry.Device]
-	baseDev  *sentry.Device
+	baseSnap *snapshot.Snapshot[*check.World]
+	base     *check.World
 	baseErr  error
 
 	stop     chan struct{}
@@ -290,18 +263,13 @@ func Open(n int, opts ...Option) *Fleet {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newFleet(o.withDefaults())
+	return newFleet(o)
 }
 
-// New starts a fleet from a resolved Options struct.
-//
-// Deprecated: use Open(n, opts...). New remains for one release as a thin
-// wrapper (and for tests that poke unexported options).
-func New(opt Options) *Fleet {
-	return newFleet(opt.withDefaults())
-}
-
+// newFleet starts a fleet from an Options struct, defaulting unset fields;
+// tests use it to set options Open does not offer.
 func newFleet(opt Options) *Fleet {
+	opt = opt.withDefaults()
 	f := &Fleet{
 		opt:    opt,
 		clock:  opt.Clock,
@@ -366,9 +334,9 @@ func shardCap(total, shards, idx int) int {
 // first use. Every device boot forks this one snapshot, so the marginal
 // cost of a new device is fork metadata plus its own workload setup, not a
 // full platform boot.
-func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*sentry.Device], error) {
+func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*check.World], error) {
 	f.baseOnce.Do(func() {
-		sd, err := sentry.Open(sentry.Tegra3, f.opt.PIN, sentry.WithSeed(baseBootSeed(f.opt.Seed)))
+		sd, err := sentry.Open(sentry.Tegra3, check.PIN, sentry.WithSeed(baseBootSeed(f.opt.Seed)))
 		if err != nil {
 			f.baseErr = err
 			return
@@ -377,11 +345,11 @@ func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*sentry.Device], error) {
 		// parked snapshot every boot forks (serialised by the snapshot
 		// mutex) and the read-only base every delta park deflates against
 		// (lock-free reads from parking actors).
-		sd.FreezeBase()
-		f.baseDev = sd
-		f.base = snapshot.Adopt(sd)
+		f.base = &check.World{S: sd.SoC, K: sd.Kernel, Sn: sd.Sentry}
+		f.base.FreezeBase()
+		f.baseSnap = snapshot.Adopt(f.base)
 	})
-	return f.base, f.baseErr
+	return f.baseSnap, f.baseErr
 }
 
 // Metrics returns the fleet's registry.
@@ -759,7 +727,7 @@ func (f *Fleet) SweepConfidentiality() []string {
 				sl.sweep(sl.act.d)
 			case sl.parked != nil:
 				d := sl.parked.Fork()
-				d.dev.Metrics().BindOwner()
+				d.w.Sn.Metrics().BindOwner()
 				sl.sweep(d)
 			}
 			sl.mu.Lock()

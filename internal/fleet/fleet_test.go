@@ -164,7 +164,7 @@ func TestMailboxPriorityAndShed(t *testing.T) {
 
 func TestDoRetriesTransientFailures(t *testing.T) {
 	var calls atomic.Int64
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 4, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if calls.Add(1) < 3 {
@@ -201,7 +201,7 @@ func TestDetectedFaultAbortRetriedOnFakeClock(t *testing.T) {
 	clk := NewFakeClock()
 	bo := Backoff{Base: time.Millisecond, Cap: time.Millisecond, Jitter: 0}
 	var calls atomic.Int64
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 4, Backoff: &bo, Clock: clk,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if calls.Add(1) < 3 {
@@ -265,7 +265,7 @@ func TestFaultDetectedCodeRoundTrip(t *testing.T) {
 
 func TestDoNeverRetriesPermanentFailures(t *testing.T) {
 	var calls atomic.Int64
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 4, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			calls.Add(1)
@@ -287,7 +287,7 @@ func TestDoNeverRetriesPermanentFailures(t *testing.T) {
 }
 
 func TestDoUnknownDevice(t *testing.T) {
-	f := New(Options{Devices: 1, Seed: 5})
+	f := newFleet(Options{Devices: 1, Seed: 5})
 	defer f.Stop()
 	_, err := f.Do(context.Background(), 7, Op{Code: OpPing})
 	if !errors.Is(err, ErrUnknownDevice) {
@@ -301,7 +301,7 @@ func TestDoUnknownDevice(t *testing.T) {
 func TestAdmissionControlOverload(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 2, Seed: 5, MaxInflight: 1, MaxAttempts: 4, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill {
@@ -337,7 +337,7 @@ func TestAdmissionControlOverload(t *testing.T) {
 func TestOverloadShedsLowestPriority(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MailboxCap: 2, MaxAttempts: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill { // the blocker occupying the actor
@@ -398,7 +398,7 @@ func TestOverloadShedsLowestPriority(t *testing.T) {
 // A panicking device is restarted through the supervised path until the
 // restart budget runs out, then quarantined.
 func TestPanicIsolationAndQuarantine(t *testing.T) {
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 1, RestartBudget: 2, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Arg == 666 {
@@ -459,7 +459,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 // Every request has a deadline, and a blown deadline is not retried.
 func TestDeadlineExceeded(t *testing.T) {
 	block := make(chan struct{})
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 4, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			<-block
@@ -483,7 +483,7 @@ func TestDeadlineExceeded(t *testing.T) {
 // Repeated health failures trip the device's breaker; once open, requests
 // are rejected without touching the actor.
 func TestBreakerTripsOnHealthFailures(t *testing.T) {
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 1, Backoff: &instantBackoff,
 		Breaker: BreakerConfig{Window: 3, MinSamples: 3, FailureRate: 1, OpenFor: time.Hour, HalfOpenProbes: 1},
 		testExec: func(a *actor, op Op) (bool, Result, error) {
@@ -519,7 +519,7 @@ func TestBreakerTripsOnHealthFailures(t *testing.T) {
 // Domain errors — wrong PIN, locked screen — are healthy responses and must
 // not trip the breaker.
 func TestBreakerIgnoresDomainErrors(t *testing.T) {
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 1, Backoff: &instantBackoff,
 		Breaker: BreakerConfig{Window: 3, MinSamples: 3, FailureRate: 1, OpenFor: time.Hour, HalfOpenProbes: 1},
 		testExec: func(a *actor, op Op) (bool, Result, error) {
@@ -539,7 +539,7 @@ func TestBreakerIgnoresDomainErrors(t *testing.T) {
 // DRAM-arena provider and pinned background pools to locked-way sessions,
 // each downgrade counted — and the device keeps serving.
 func TestGracefulDegradationUnderIRAMPressure(t *testing.T) {
-	f := New(Options{Devices: 1, Seed: 5, SqueezeEvery: 1, Backoff: &instantBackoff})
+	f := newFleet(Options{Devices: 1, Seed: 5, SqueezeEvery: 1, Backoff: &instantBackoff})
 	defer f.Stop()
 
 	ctx := context.Background()
@@ -575,7 +575,7 @@ func TestGracefulDegradationUnderIRAMPressure(t *testing.T) {
 
 // Without pressure, the preferred paths are used and nothing downgrades.
 func TestNoDowngradeWithoutPressure(t *testing.T) {
-	f := New(Options{Devices: 1, Seed: 5, Backoff: &instantBackoff})
+	f := newFleet(Options{Devices: 1, Seed: 5, Backoff: &instantBackoff})
 	defer f.Stop()
 	ctx := context.Background()
 	if _, err := f.Do(ctx, 0, Op{Code: OpLock, Prio: PrioHigh}); err != nil {
@@ -594,7 +594,7 @@ func TestNoDowngradeWithoutPressure(t *testing.T) {
 // Five wrong PINs deep-lock the device; the actor recovers it with a
 // planned reboot instead of leaving it bricked.
 func TestDeepLockRecovery(t *testing.T) {
-	f := New(Options{Devices: 1, Seed: 5, Backoff: &instantBackoff})
+	f := newFleet(Options{Devices: 1, Seed: 5, Backoff: &instantBackoff})
 	defer f.Stop()
 	ctx := context.Background()
 	if _, err := f.Do(ctx, 0, Op{Code: OpLock, Prio: PrioHigh}); err != nil {
@@ -629,7 +629,7 @@ func TestWatchdogFlagsStalledActor(t *testing.T) {
 	clk := NewFakeClock()
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, Clock: clk,
 		StallTimeout: 2 * time.Second, WatchdogEvery: 250 * time.Millisecond,
 		Backoff: &instantBackoff,
@@ -676,7 +676,7 @@ func TestWatchdogFlagsStalledActor(t *testing.T) {
 // The per-device sequence ledger stays contiguous across restarts.
 func TestLedgerContiguousAcrossRestart(t *testing.T) {
 	var calls atomic.Int64
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 1, RestartBudget: 10, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Arg == 666 && calls.Add(1) == 3 {
@@ -724,7 +724,7 @@ func TestLedgerContiguousAcrossRestart(t *testing.T) {
 func TestStopDrainsWithShutdownError(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 1, Seed: 5, MailboxCap: 8, MaxAttempts: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill {
@@ -753,18 +753,18 @@ func TestStopDrainsWithShutdownError(t *testing.T) {
 	}
 }
 
-// Open with functional options resolves the same fleet New would build, and
-// untouched devices cost nothing: a huge logical population opens instantly.
+// Open with functional options resolves the same fleet newFleet would
+// build, and untouched devices cost nothing: a huge logical population opens
+// instantly.
 func TestOpenFunctionalOptions(t *testing.T) {
 	f := Open(1_000_000,
 		WithSeed(9),
 		WithShards(4),
 		WithResidentCap(8),
 		WithMaxInflight(16),
-		WithPIN("2468"),
 	)
 	defer f.Stop()
-	if f.opt.Devices != 1_000_000 || f.opt.Seed != 9 || f.opt.PIN != "2468" {
+	if f.opt.Devices != 1_000_000 || f.opt.Seed != 9 {
 		t.Fatalf("options not applied: %+v", f.opt)
 	}
 	if got := len(f.top.Load().shards); got != 4 {

@@ -38,6 +38,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if res.OpID == 0 || res.Seq != 1 || res.Attempts != 1 {
 		t.Fatalf("remote result = %+v, want op ID, seq 1, 1 attempt", res)
 	}
+	// A touch arg at or above 2^63 wraps onto a page (page 3 here) instead
+	// of faulting on a negative page index.
+	if _, err := c.Do(ctx, 2, Op{Code: OpTouch, Arg: 1<<63 + 3}); err != nil {
+		t.Fatalf("remote touch with arg 2^63+3: %v", err)
+	}
 	if _, err := c.Do(ctx, 2, Op{Code: OpDiskWrite, Arg: 3}); err != nil {
 		t.Fatalf("remote disk write: %v", err)
 	}
@@ -121,7 +126,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 func TestHTTPOverload(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 2, Seed: 7, MaxInflight: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill {

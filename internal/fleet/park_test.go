@@ -173,7 +173,7 @@ func TestHydrationLazyAndBounded(t *testing.T) {
 // A quarantined device stays quarantined across eviction: its slot rejects
 // without re-instantiating the corpse.
 func TestQuarantineSurvivesEviction(t *testing.T) {
-	f := New(Options{
+	f := newFleet(Options{
 		Devices: 2, Seed: 5, Shards: 1, ResidentCap: 1,
 		MaxAttempts: 1, RestartBudget: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {

@@ -1,10 +1,9 @@
 #!/bin/sh
-# explore_guard.sh — throughput floor and determinism smoke for the
-# prefix-sharing schedule explorer.
+# explore_guard.sh — throughput floor for the prefix-sharing schedule
+# explorer. (The -j 1 vs -j N determinism smoke is `make explore-smoke`.)
 #
 #   scripts/explore_guard.sh record   # re-record tree + seed-replay baselines
 #   scripts/explore_guard.sh guard    # fail if the tree lost its floor or its 10x edge
-#   scripts/explore_guard.sh smoke    # fail if -j1 and -jN sweeps disagree
 #
 # record runs the identical schedule set through both engines — the snapshot
 # tree and the cold seed-replay baseline — writes both as keyed records
@@ -12,15 +11,12 @@
 # the tree swept at least MIN_RATIO times the baseline's schedules/sec.
 # guard re-runs only the tree (the baseline is the slow engine; its recorded
 # rate is the yardstick) and holds it to its own floor AND the ratio.
-# smoke diffs the deterministic "explore:" lines of a -j 1 and a -j N run;
-# "perf:" lines are the non-deterministic half and are filtered out.
 set -eu
 
 MODE="${1:-guard}"
 GO="${GO:-go}"
 WALLCLOCK="${WALLCLOCK:-BENCH_wallclock.json}"
 CORPUS="${CORPUS:-EXPLORE_corpus.txt}"
-SMOKE_BUDGET="${SMOKE_BUDGET:-20000}"
 MIN_RATIO=10
 
 tmp="$(mktemp -d)"
@@ -53,18 +49,8 @@ guard)
     # shellcheck disable=SC2086
     "$tmp/sentrybench" -explore -j 0 $corpus_flag -wallclock-guard "$WALLCLOCK"
     ;;
-smoke)
-    # shellcheck disable=SC2086
-    "$tmp/sentrybench" -explore -explore-budget "$SMOKE_BUDGET" -j 1 $corpus_flag \
-        | grep '^explore:' > "$tmp/j1.out"
-    # shellcheck disable=SC2086
-    "$tmp/sentrybench" -explore -explore-budget "$SMOKE_BUDGET" -j 0 $corpus_flag \
-        | grep '^explore:' > "$tmp/jN.out"
-    diff "$tmp/j1.out" "$tmp/jN.out"
-    echo "explore-smoke: -j 1 and -j 0 sweeps verdict- and coverage-identical"
-    ;;
 *)
-    echo "usage: $0 [record|guard|smoke]" >&2
+    echo "usage: $0 [record|guard]" >&2
     exit 2
     ;;
 esac
