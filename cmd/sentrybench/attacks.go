@@ -2,99 +2,39 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"sentry/internal/check"
-	"sentry/internal/faults"
 )
 
-// attackRow is one cell of the attack sweep: a cache profile under a set of
-// attackers, with the verdict the suite must reach. wantClause "" means the
-// campaign must stay clean.
-type attackRow struct {
-	cache      string
-	attacks    string
-	wantClause map[string]string // per-platform expected clause ("" = clean)
-}
-
-// attackMatrix is the per-profile leak matrix -attacks sweeps: the insecure
-// placement must lose to both timing attacks everywhere, every defended
-// placement must win on the same seeds, and the occupancy probe must expose
-// way-locking itself on platforms that lock ways (tegra3) while staying
-// silent where sessions live in iRAM (nexus4).
-func attackMatrix() []attackRow {
-	both := "prime-probe,evict-reload"
-	return []attackRow{
-		{check.CacheInsecure, both, map[string]string{
-			"tegra3": "cache-timing", "nexus4": "cache-timing"}},
-		{check.CacheBaseline, both, map[string]string{
-			"tegra3": "", "nexus4": ""}},
-		{check.CacheAutoLock, both, map[string]string{
-			"tegra3": "", "nexus4": ""}},
-		{check.CacheRandomized, both, map[string]string{
-			"tegra3": "", "nexus4": ""}},
-		{check.CacheBaseline, check.AttackOccupancy, map[string]string{
-			"tegra3": "occupancy", "nexus4": ""}},
-		// The occupancy mitigation: session locks served from a constant
-		// way budget reserved at boot never move the observable lock state.
-		{check.CacheReserved, check.AttackOccupancy, map[string]string{
-			"tegra3": "", "nexus4": ""}},
-	}
-}
-
-// runAttacks sweeps the cache-timing adversary suite: a seeded campaign per
-// (platform, cache profile, attacker set) cell with the same seed window
-// everywhere, so defended profiles demonstrably survive the exact schedules
-// the insecure profile loses to. Output carries no wall times — the Makefile
-// runs the sweep twice and diffs the bytes as a determinism check. Returns
-// false if any cell misses its expected verdict or a repro fails to replay.
-func runAttacks(platforms string, seeds, steps int, startSeed int64, workers int) bool {
-	okAll := true
-	for _, plat := range strings.Split(platforms, ",") {
-		for _, row := range attackMatrix() {
-			want, relevant := row.wantClause[plat]
-			if !relevant {
-				continue
-			}
-			cfg := check.Config{
-				Platform: plat,
-				Defences: check.AllDefences(),
-				Faults:   faults.None(),
-				Cache:    row.cache,
-				Attacks:  row.attacks,
-				Steps:    steps,
-			}
-			res := check.CampaignParallel(cfg, startSeed, seeds, workers)
-			cell := fmt.Sprintf("attacks: %-7s cache=%-10s vs %-25s %d seeds:", plat, row.cache, row.attacks, seeds)
-			switch {
-			case len(res.IntegrityFailures) > 0:
-				okAll = false
-				fmt.Printf("%s INTEGRITY FAILURES (%d)\n", cell, len(res.IntegrityFailures))
-			case want == "" && res.Repro == nil:
-				fmt.Printf("%s defended (clean)\n", cell)
-			case want == "" && res.Repro != nil:
-				okAll = false
-				fmt.Printf("%s LEAKED (%d/%d seeds)\n  %s\n  repro: %s\n",
-					cell, res.ViolationSeeds, seeds, res.Repro.Violation, res.Repro)
-			case res.Repro == nil:
-				okAll = false
-				fmt.Printf("%s BLIND — attacker recovered nothing (want clause %s)\n", cell, want)
-			case res.Repro.Violation.Clause != want:
-				okAll = false
-				fmt.Printf("%s WRONG CLAUSE %s (want %s)\n  %s\n",
-					cell, res.Repro.Violation.Clause, want, res.Repro)
-			default:
-				status := fmt.Sprintf("leaks as expected (%d/%d seeds, clause %s, %d -> %d ops)",
-					res.ViolationSeeds, seeds, want, res.Repro.OriginalLen, len(res.Repro.Ops))
-				// The printed reproducer must replay to the same clause.
-				if rr := check.Replay(res.Repro.Config, res.Repro.Seed, res.Repro.Ops); rr.Violation == nil ||
-					rr.Violation.Clause != want {
-					okAll = false
-					status = "REPRO DOES NOT REPLAY"
-				}
-				fmt.Printf("%s %s\n  repro: %s\n", cell, status, res.Repro)
-			}
+// attackMatrix is the per-profile leak matrix -attacks sweeps: a cache
+// profile under a set of attackers per row. The insecure placement must
+// lose to both timing attacks everywhere, every defended placement must win
+// on the same seeds, and the occupancy probe must expose way-locking itself
+// on platforms that lock ways (tegra3) while staying silent where sessions
+// live in iRAM (nexus4).
+func attackMatrix() verdictMatrix {
+	row := func(cache, attacks string, want map[string]string) verdictRow {
+		return verdictRow{
+			label:      fmt.Sprintf("cache=%-10s vs %-25s", cache, attacks),
+			cfg:        check.Config{Cache: cache, Attacks: attacks},
+			wantClause: want,
 		}
 	}
-	return okAll
+	both := "prime-probe,evict-reload"
+	return verdictMatrix{prefix: "attacks", unexpected: "LEAKED", expected: "leaks as expected", rows: []verdictRow{
+		row(check.CacheInsecure, both, map[string]string{
+			"tegra3": "cache-timing", "nexus4": "cache-timing"}),
+		row(check.CacheBaseline, both, map[string]string{
+			"tegra3": "", "nexus4": ""}),
+		row(check.CacheAutoLock, both, map[string]string{
+			"tegra3": "", "nexus4": ""}),
+		row(check.CacheRandomized, both, map[string]string{
+			"tegra3": "", "nexus4": ""}),
+		row(check.CacheBaseline, check.AttackOccupancy, map[string]string{
+			"tegra3": "occupancy", "nexus4": ""}),
+		// The occupancy mitigation: session locks served from a constant
+		// way budget reserved at boot never move the observable lock state.
+		row(check.CacheReserved, check.AttackOccupancy, map[string]string{
+			"tegra3": "", "nexus4": ""}),
+	}}
 }

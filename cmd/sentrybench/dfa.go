@@ -2,93 +2,33 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"sentry/internal/check"
-	"sentry/internal/faults"
 )
 
-// dfaRow is one cell of the DFA sweep: a victim placement under a
-// countermeasure, with the verdict the campaign must reach. wantClause ""
-// means the campaign must stay clean.
-type dfaRow struct {
-	placement  string
-	counter    string
-	wantClause map[string]string // per-platform expected clause ("" = clean)
-}
-
-// dfaMatrix is the fault-attack verdict matrix -dfa sweeps: the undefended
-// DRAM-placed victim must lose its full AES-128 key to differential fault
-// analysis on both platforms, while the paper's iRAM placement (arena out of
-// the glitch rig's reach) and both fault-detecting countermeasures
+// dfaMatrix is the fault-attack verdict matrix -dfa sweeps: a victim
+// placement under a countermeasure per row. The undefended DRAM-placed
+// victim must lose its full AES-128 key to differential fault analysis on
+// both platforms, while the paper's iRAM placement (arena out of the glitch
+// rig's reach) and both fault-detecting countermeasures
 // (recompute-and-compare, truncated integrity tag) must win on the exact
 // same seeds.
-func dfaMatrix() []dfaRow {
-	return []dfaRow{
-		{check.DFAInDRAM, "none", map[string]string{
-			"tegra3": "dfa-key-recovery", "nexus4": "dfa-key-recovery"}},
-		{check.DFAInIRAM, "none", map[string]string{
-			"tegra3": "", "nexus4": ""}},
-		{check.DFAInDRAM, "redundant", map[string]string{
-			"tegra3": "", "nexus4": ""}},
-		{check.DFAInDRAM, "tag", map[string]string{
-			"tegra3": "", "nexus4": ""}},
-	}
-}
-
-// runDFA sweeps the adversarial fault-injection suite: a seeded campaign per
-// (platform, placement, countermeasure) cell with the same seed window
-// everywhere, so the defended cells demonstrably survive the exact schedules
-// the undefended cell loses to. Output carries no wall times — the Makefile
-// runs the sweep twice and diffs the bytes as a determinism check. Returns
-// false if any cell misses its expected verdict or a repro fails to replay.
-func runDFA(platforms string, seeds, steps int, startSeed int64, workers int) bool {
-	okAll := true
-	for _, plat := range strings.Split(platforms, ",") {
-		for _, row := range dfaMatrix() {
-			want, relevant := row.wantClause[plat]
-			if !relevant {
-				continue
-			}
-			cfg := check.Config{
-				Platform: plat,
-				Defences: check.AllDefences(),
-				Faults:   faults.None(),
-				DFA:      row.placement,
-				Counter:  row.counter,
-				Steps:    steps,
-			}
-			res := check.CampaignParallel(cfg, startSeed, seeds, workers)
-			cell := fmt.Sprintf("dfa: %-7s dfa=%-5s counter=%-10s %d seeds:", plat, row.placement, row.counter, seeds)
-			switch {
-			case len(res.IntegrityFailures) > 0:
-				okAll = false
-				fmt.Printf("%s INTEGRITY FAILURES (%d)\n", cell, len(res.IntegrityFailures))
-			case want == "" && res.Repro == nil:
-				fmt.Printf("%s defended (clean)\n", cell)
-			case want == "" && res.Repro != nil:
-				okAll = false
-				fmt.Printf("%s KEY RECOVERED (%d/%d seeds)\n  %s\n  repro: %s\n",
-					cell, res.ViolationSeeds, seeds, res.Repro.Violation, res.Repro)
-			case res.Repro == nil:
-				okAll = false
-				fmt.Printf("%s BLIND — attacker recovered nothing (want clause %s)\n", cell, want)
-			case res.Repro.Violation.Clause != want:
-				okAll = false
-				fmt.Printf("%s WRONG CLAUSE %s (want %s)\n  %s\n",
-					cell, res.Repro.Violation.Clause, want, res.Repro)
-			default:
-				status := fmt.Sprintf("key recovered as expected (%d/%d seeds, clause %s, %d -> %d ops)",
-					res.ViolationSeeds, seeds, want, res.Repro.OriginalLen, len(res.Repro.Ops))
-				// The printed reproducer must replay to the same clause.
-				if rr := check.Replay(res.Repro.Config, res.Repro.Seed, res.Repro.Ops); rr.Violation == nil ||
-					rr.Violation.Clause != want {
-					okAll = false
-					status = "REPRO DOES NOT REPLAY"
-				}
-				fmt.Printf("%s %s\n  repro: %s\n", cell, status, res.Repro)
-			}
+func dfaMatrix() verdictMatrix {
+	row := func(placement, counter string, want map[string]string) verdictRow {
+		return verdictRow{
+			label:      fmt.Sprintf("dfa=%-5s counter=%-10s", placement, counter),
+			cfg:        check.Config{DFA: placement, Counter: counter},
+			wantClause: want,
 		}
 	}
-	return okAll
+	return verdictMatrix{prefix: "dfa", unexpected: "KEY RECOVERED", expected: "key recovered as expected", rows: []verdictRow{
+		row(check.DFAInDRAM, "none", map[string]string{
+			"tegra3": "dfa-key-recovery", "nexus4": "dfa-key-recovery"}),
+		row(check.DFAInIRAM, "none", map[string]string{
+			"tegra3": "", "nexus4": ""}),
+		row(check.DFAInDRAM, "redundant", map[string]string{
+			"tegra3": "", "nexus4": ""}),
+		row(check.DFAInDRAM, "tag", map[string]string{
+			"tegra3": "", "nexus4": ""}),
+	}}
 }

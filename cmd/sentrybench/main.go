@@ -117,13 +117,13 @@ func main() {
 		return
 	}
 	if *doAttacks {
-		if !runAttacks(*platforms, *seeds, *checkSteps, *seed, *parallel) {
+		if !runMatrix(attackMatrix(), *platforms, *seeds, *checkSteps, *seed, *parallel) {
 			fatalf("attacks failed")
 		}
 		return
 	}
 	if *doDFA {
-		if !runDFA(*platforms, *seeds, *checkSteps, *seed, *parallel) {
+		if !runMatrix(dfaMatrix(), *platforms, *seeds, *checkSteps, *seed, *parallel) {
 			fatalf("dfa failed")
 		}
 		return

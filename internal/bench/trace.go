@@ -10,7 +10,6 @@ import (
 	"sentry/internal/kernel"
 	"sentry/internal/mem"
 	"sentry/internal/obs"
-	"sentry/internal/snapshot"
 	"sentry/internal/soc"
 )
 
@@ -47,12 +46,13 @@ func boot(s *soc.SoC) *soc.SoC {
 	return s
 }
 
-// bootSnaps parks one post-boot snapshot per (platform, seed). Every
-// experiment that needs that platform forks the snapshot in O(touched
-// metadata) instead of re-running the boot sequence; concurrent experiments
-// under RunAll parallelism fork the same snapshot safely. Tracing runs
-// bypass the cache: a forked SoC replays no boot, so its event stream would
-// differ from a cold boot's even though all observable state matches.
+// bootSnaps holds one frozen post-boot SoC per (platform, seed). Every
+// experiment that needs that platform forks it in O(touched metadata)
+// instead of re-running the boot sequence; a frozen SoC is never written by
+// a fork, so concurrent experiments under RunAll parallelism fork the same
+// one without a lock. Tracing runs bypass the cache: a forked SoC replays
+// no boot, so its event stream would differ from a cold boot's even though
+// all observable state matches.
 var bootSnaps sync.Map
 
 type bootKey struct {
@@ -67,11 +67,13 @@ func bootSnapshot(platform string, seed int64, build func(int64) *soc.SoC) *soc.
 	k := bootKey{platform, seed}
 	v, ok := bootSnaps.Load(k)
 	if !ok {
-		// Two experiments may race to build the first snapshot; LoadOrStore
-		// keeps one and the loser's boot work is discarded.
-		v, _ = bootSnaps.LoadOrStore(k, snapshot.Capture(build(seed)))
+		// Two experiments may race to build the first checkpoint;
+		// LoadOrStore keeps one and the loser's boot work is discarded.
+		s := build(seed)
+		s.FreezeBase()
+		v, _ = bootSnaps.LoadOrStore(k, s)
 	}
-	return v.(*snapshot.Snapshot[*soc.SoC]).Fork()
+	return v.(*soc.SoC).Fork()
 }
 
 func bootTegra3(seed int64) *soc.SoC { return bootSnapshot("tegra3", seed, soc.Tegra3) }

@@ -120,7 +120,7 @@ type L2 struct {
 	// meta owns slab, lines, validMask, validCount, tags, and victim (the
 	// fields alias it); Release recycles the bundle through a pool so the
 	// model checker's fork-heavy sweeps do not re-allocate ~¾ MB per clone.
-	meta *metaArrays
+	meta      *metaArrays
 	validMask []uint32 // per-set bitmask of ways holding a valid line
 	// validCount[w] is the number of valid lines way w holds — the sum of
 	// validMask bit w over all sets. Maintenance walks consult it to skip
@@ -638,12 +638,13 @@ func (c *L2) splitByLine(addr mem.PhysAddr, b []byte, fn func(a mem.PhysAddr, fr
 	}
 }
 
-// ReadBytes is the burst read path: it moves one cache line per step with a
-// plain loop (no per-fragment closure dispatch), charging exactly the same
-// hits, misses, bypasses, write-backs, and bus transactions as a sequence of
-// per-word accesses over the same range — the trace-bus experiment and
+// Read performs a cacheable read of len(dst) bytes at addr. It is the
+// burst path: it moves one cache line per step with a plain loop (no
+// per-fragment closure dispatch), charging exactly the same hits, misses,
+// bypasses, write-backs, and bus transactions as a sequence of per-word
+// accesses over the same range — the trace-bus experiment and
 // TestTraceSumsEqualStats cross-check that equivalence.
-func (c *L2) ReadBytes(addr mem.PhysAddr, dst []byte) {
+func (c *L2) Read(addr mem.PhysAddr, dst []byte) {
 	for len(dst) > 0 {
 		n := c.cfg.LineSize - int(uint64(addr)&c.offMask)
 		if n > len(dst) {
@@ -655,8 +656,9 @@ func (c *L2) ReadBytes(addr mem.PhysAddr, dst []byte) {
 	}
 }
 
-// WriteBytes is the burst write twin of ReadBytes.
-func (c *L2) WriteBytes(addr mem.PhysAddr, src []byte) {
+// Write performs a cacheable write of src at addr: the burst write twin of
+// Read.
+func (c *L2) Write(addr mem.PhysAddr, src []byte) {
 	for len(src) > 0 {
 		n := c.cfg.LineSize - int(uint64(addr)&c.offMask)
 		if n > len(src) {
@@ -667,12 +669,6 @@ func (c *L2) WriteBytes(addr mem.PhysAddr, src []byte) {
 		src = src[n:]
 	}
 }
-
-// Read performs a cacheable read of len(dst) bytes at addr.
-func (c *L2) Read(addr mem.PhysAddr, dst []byte) { c.ReadBytes(addr, dst) }
-
-// Write performs a cacheable write of src at addr.
-func (c *L2) Write(addr mem.PhysAddr, src []byte) { c.WriteBytes(addr, src) }
 
 // CleanWays writes back every dirty line in the ways selected by mask,
 // leaving them valid.
@@ -852,14 +848,7 @@ func (c *L2) Clone(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	// frozen cache had this done once by FreezeShared and must not be written
 	// again (clones may be taken from it concurrently).
 	if !c.frozen {
-		for s := 0; s < c.sets; s++ {
-			vm := c.validMask[s]
-			for vm != 0 {
-				w := bits.TrailingZeros32(vm)
-				vm &= vm - 1
-				c.lines[s][w].shared = true
-			}
-		}
+		c.markShared()
 	}
 	n := newL2(c.cfg, clock, meter, c.costs, c.energy, b, false)
 	copy(n.slab, c.slab)
@@ -891,9 +880,14 @@ func (c *L2) ValidLines(w int) int { return c.validCount[w] }
 // to serve as the immutable base of a fork/delta population (the fleet's
 // shared boot world). Idempotent.
 func (c *L2) FreezeShared() {
-	if c.frozen {
-		return
+	if !c.frozen {
+		c.markShared()
+		c.frozen = true
 	}
+}
+
+// markShared flags every valid line's buffer copy-on-write.
+func (c *L2) markShared() {
 	for s := 0; s < c.sets; s++ {
 		vm := c.validMask[s]
 		for vm != 0 {
@@ -902,7 +896,6 @@ func (c *L2) FreezeShared() {
 			c.lines[s][w].shared = true
 		}
 	}
-	c.frozen = true
 }
 
 // l2Delta is a cache re-encoded against a frozen base: the sparse set of

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sentry/internal/faults"
-	"sentry/internal/snapshot"
 )
 
 var benchCfg = Config{Platform: "tegra3", Defences: AllDefences(), Faults: faults.None(), Steps: 40}
@@ -18,23 +17,24 @@ func BenchmarkColdBoot(b *testing.B) {
 	}
 }
 
-// BenchmarkCapture measures checkpointing a post-boot world — paid once per
-// violating seed by Shrink, then amortised over every candidate replay.
-func BenchmarkCapture(b *testing.B) {
+// BenchmarkFreezeBase measures checkpointing a post-boot world — paid once
+// per violating seed by Shrink, then amortised over every candidate replay.
+func BenchmarkFreezeBase(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w := NewWorld(benchCfg, 1)
 		b.StartTimer()
-		_ = snapshot.Capture(w)
+		w.FreezeBase()
 	}
 }
 
-// BenchmarkSnapshotFork measures stamping out one world from a snapshot —
-// the per-candidate cost during shrinking. O(touched metadata), so it must
-// sit well under BenchmarkColdBoot.
+// BenchmarkSnapshotFork measures stamping out one world from a frozen
+// checkpoint — the per-candidate cost during shrinking. O(touched
+// metadata), so it must sit well under BenchmarkColdBoot.
 func BenchmarkSnapshotFork(b *testing.B) {
-	boot := snapshot.Capture(NewWorld(benchCfg, 1))
+	boot := NewWorld(benchCfg, 1)
+	boot.FreezeBase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,12 +41,11 @@ func Replay(cfg Config, seed int64, sched Schedule) RunResult {
 // finishRun executes a schedule against an already-built world (cold-booted
 // or forked from a snapshot) and runs the end-of-schedule integrity check.
 func finishRun(w *World, sched Schedule) RunResult {
-	if v := replayFrom(w, sched); v != nil {
+	if v := ReplayFrom(w, sched); v != nil {
 		return RunResult{Violation: v, Perturbed: w.Perturbed(), AttackLog: w.AttackLog()}
 	}
 	return RunResult{IntegrityErr: w.IntegrityCheck(), Perturbed: w.Perturbed(), AttackLog: w.AttackLog()}
 }
-
 
 // Repro is a minimal reproducer for a violation: replay Ops against a world
 // built from (Config, Seed) and the same violation fires.

@@ -70,8 +70,8 @@ func TestPositiveControls(t *testing.T) {
 // profile).
 func TestGenerateDeterministic(t *testing.T) {
 	for _, prof := range []faults.Profile{faults.None(), faults.Benign(), faults.Adversarial()} {
-		a := Generate(sim.NewRNG(7), 60, prof)
-		b := Generate(sim.NewRNG(7), 60, prof)
+		a := GenerateFor(Config{Faults: prof}, sim.NewRNG(7), 60)
+		b := GenerateFor(Config{Faults: prof}, sim.NewRNG(7), 60)
 		if a.String() != b.String() {
 			t.Fatalf("profile %s: same seed, different schedules:\n%s\n%s", prof.Name, a, b)
 		}
@@ -83,7 +83,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestScheduleRoundTrip: String/ParseSchedule are inverses.
 func TestScheduleRoundTrip(t *testing.T) {
-	sched := Generate(sim.NewRNG(11), 40, faults.Adversarial())
+	sched := GenerateFor(Config{Faults: faults.Adversarial()}, sim.NewRNG(11), 40)
 	parsed, err := ParseSchedule(sched.String())
 	if err != nil {
 		t.Fatal(err)

@@ -6,16 +6,14 @@ import (
 	"testing/quick"
 
 	"sentry/internal/sim"
-	"sentry/internal/snapshot"
 )
 
-// Delta-snapshot soundness: a device parked as a delta against the shared
-// base (snapshot.CaptureDelta) and re-hydrated must be full-state-diff
-// identical — and behave identically forever after — to one parked as a
-// full snapshot. These are the property tests behind the fleet's
-// delta-encoded parking; they reuse the PR 5 fork-soundness harness
-// (Generate schedules over the whole op alphabet, DiffWorlds as the
-// byte-level oracle).
+// Delta-park soundness: a world parked as a delta against the shared frozen
+// base (World.Deflate) and re-hydrated by Fork must be full-state-diff
+// identical — and behave identically forever after — to one parked whole.
+// These are the property tests behind the fleet's delta-encoded parking;
+// they reuse the fork-soundness harness (GenerateFor schedules over the
+// whole op alphabet, DiffWorlds as the byte-level oracle).
 
 // TestDeltaParkMatchesFullPark drives identical random prefixes into two
 // forks of a frozen base, parks one full and one as a delta, then compares
@@ -24,13 +22,12 @@ func TestDeltaParkMatchesFullPark(t *testing.T) {
 	for ci, cfg := range forkTestConfigs() {
 		base := NewWorld(cfg, 1)
 		base.FreezeBase()
-		snapBase := snapshot.Adopt(base)
 		for seed := int64(1); seed <= 4; seed++ {
-			prefix := Generate(sim.NewRNG(seed), cfg.Steps/2, cfg.Faults)
-			suffix := Generate(sim.NewRNG(seed+1000), cfg.Steps/2, cfg.Faults)
+			prefix := GenerateFor(cfg, sim.NewRNG(seed), cfg.Steps/2)
+			suffix := GenerateFor(cfg, sim.NewRNG(seed+1000), cfg.Steps/2)
 
-			full := snapBase.Fork()
-			delta := snapBase.Fork()
+			full := base.Fork()
+			delta := base.Fork()
 			for i, op := range prefix {
 				vf, vd := full.Apply(op), delta.Apply(op)
 				if violationString(vf) != violationString(vd) {
@@ -42,14 +39,12 @@ func TestDeltaParkMatchesFullPark(t *testing.T) {
 				}
 			}
 
-			fullSnap := snapshot.Adopt(full)
-			deltaSnap, bytes := snapshot.CaptureDelta[*World, *World](delta, base)
-			if bytes <= 0 {
+			if bytes := delta.Deflate(base); bytes <= 0 {
 				t.Fatalf("cfg %d seed %d: delta retained %d bytes", ci, seed, bytes)
 			}
 
-			hf := fullSnap.Fork()
-			hd := deltaSnap.Fork()
+			hf := full.Fork()
+			hd := delta.Fork()
 			if d := DiffWorlds(hf, hd); d != "" {
 				t.Fatalf("cfg %d seed %d: delta hydration diverged from full: %s", ci, seed, d)
 			}
@@ -67,10 +62,10 @@ func TestDeltaParkMatchesFullPark(t *testing.T) {
 				t.Fatalf("cfg %d seed %d: post-suffix state diverged: %s", ci, seed, d)
 			}
 
-			// A delta snapshot must stay hydratable: a second fork replays the
+			// A deflated world must stay hydratable: a second fork replays the
 			// same suffix to the same end state.
-			hd2 := deltaSnap.Fork()
-			replayFrom(hd2, suffix)
+			hd2 := delta.Fork()
+			ReplayFrom(hd2, suffix)
 			if d := DiffWorlds(hd, hd2); d != "" {
 				t.Fatalf("cfg %d seed %d: repeated delta hydration diverged: %s", ci, seed, d)
 			}
@@ -85,19 +80,17 @@ func TestDeltaParkQuick(t *testing.T) {
 	cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 40}
 	base := NewWorld(cfg, 1)
 	base.FreezeBase()
-	snapBase := snapshot.Adopt(base)
 
 	f := func(seed int64, split uint8) bool {
 		n := 1 + int(split)%cfg.Steps
-		sched := Generate(sim.NewRNG(seed), n, cfg.Faults)
-		full := snapBase.Fork()
-		delta := snapBase.Fork()
-		replayFrom(full, sched)
-		replayFrom(delta, sched)
+		sched := GenerateFor(cfg, sim.NewRNG(seed), n)
+		full := base.Fork()
+		delta := base.Fork()
+		ReplayFrom(full, sched)
+		ReplayFrom(delta, sched)
 
-		fullSnap := snapshot.Adopt(full)
-		deltaSnap, _ := snapshot.CaptureDelta[*World, *World](delta, base)
-		hf, hd := fullSnap.Fork(), deltaSnap.Fork()
+		delta.Deflate(base)
+		hf, hd := full.Fork(), delta.Fork()
 		if d := DiffWorlds(hf, hd); d != "" {
 			t.Logf("seed %d steps %d: %s", seed, n, d)
 			return false
@@ -114,10 +107,9 @@ func TestDeltaParkQuick(t *testing.T) {
 // proves Deflate never writes to the shared base; every hydration must agree.
 func TestConcurrentDeltaParks(t *testing.T) {
 	cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 40}
-	sched := Generate(sim.NewRNG(7), 40, cfg.Faults)
+	sched := GenerateFor(cfg, sim.NewRNG(7), 40)
 	base := NewWorld(cfg, 1)
 	base.FreezeBase()
-	snapBase := snapshot.Adopt(base)
 
 	const n = 8
 	worlds := make([]*World, n)
@@ -126,10 +118,10 @@ func TestConcurrentDeltaParks(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := snapBase.Fork()
-			replayFrom(w, sched)
-			snap, _ := snapshot.CaptureDelta[*World, *World](w, base)
-			worlds[i] = snap.Fork()
+			w := base.Fork()
+			ReplayFrom(w, sched)
+			w.Deflate(base)
+			worlds[i] = w.Fork()
 		}(i)
 	}
 	wg.Wait()

@@ -1,6 +1,6 @@
 // Package explore turns the seeded campaign checker into a prefix-sharing
 // schedule explorer: a tree of schedule prefixes whose interior nodes park
-// forkable snapshots, so sweeping N schedules costs ~N op executions
+// forkable worlds, so sweeping N schedules costs ~N op executions
 // instead of the seed-replay path's boot-plus-full-replay per schedule.
 //
 // Every tree node is one checked schedule — its path from the root, with
@@ -13,13 +13,15 @@
 // canonical violation, and the coverage hash are byte-identical at -j 1
 // and -j N (equivalence_test.go holds this under -race).
 //
-// Node lifecycle: chains (single-child nodes) drive the live world forward
-// inline and never fork. Branch nodes park their world via snapshot.Adopt;
-// each child consumes one reference, the last by an O(1) HandOff instead
-// of a fork. A bounded LRU keeps at most SnapBudget parked snapshots
-// resident; evicted nodes are re-derived on demand by forking the nearest
-// live ancestor and replaying the ops between — correctness never depends
-// on what the LRU kept, only wall-clock does.
+// Node lifecycle: the root is a FreezeBase'd post-boot world that every
+// worker forks without a lock. Chains (single-child nodes) drive the live
+// world forward inline and never fork. Branch nodes park their world under
+// the node's mutex; each child consumes one reference, the last by an O(1)
+// hand-off of the parked world itself instead of a fork. A bounded LRU
+// keeps at most SnapBudget parked worlds resident; evicted nodes are
+// re-derived on demand by forking the nearest live ancestor and replaying
+// the ops between — correctness never depends on what the LRU kept, only
+// wall-clock does.
 package explore
 
 import (
@@ -35,7 +37,6 @@ import (
 	"sentry/internal/check"
 	"sentry/internal/obs"
 	"sentry/internal/sim"
-	"sentry/internal/snapshot"
 )
 
 // Config parameterises one exploration.
@@ -141,9 +142,9 @@ type node struct {
 	depth  int
 	hash   uint64 // rolling path hash; seeds the child draw
 
-	mu   sync.Mutex
-	snap *snapshot.Snapshot[*check.World]
-	refs int // children yet to consume snap
+	mu     sync.Mutex
+	parked *check.World // nil once handed off or evicted
+	refs   int          // children yet to consume parked
 
 	elem *list.Element // LRU slot; guarded by explorer.lruMu
 }
@@ -173,9 +174,9 @@ type explorer struct {
 	branch     int
 	snapBudget int
 
-	root     *node
-	rootSnap *snapshot.Snapshot[*check.World]
-	opsExec  *obs.Counter
+	root      *node
+	rootWorld *check.World // FreezeBase'd post-boot world; forked, never run
+	opsExec   *obs.Counter
 
 	collectPaths bool
 
@@ -191,7 +192,7 @@ type explorer struct {
 	resMu      sync.Mutex
 	violations []violationRec
 	bank       map[string]struct{}
-	paths  []check.Schedule
+	paths      []check.Schedule
 
 	schedules, leaves, prunes, nearMisses    atomic.Uint64
 	snapHits, handOffs, replays, replayedOps atomic.Uint64
@@ -234,20 +235,21 @@ func (c *Config) normalise() {
 func newExplorer(cfg Config, collectPaths bool) *explorer {
 	cfg.normalise()
 	e := &explorer{
-		cfg:           cfg,
-		depth:         cfg.Depth,
-		branch:        cfg.Branch,
-		snapBudget:    cfg.SnapBudget,
-		opsExec:       &obs.Counter{},
+		cfg:          cfg,
+		depth:        cfg.Depth,
+		branch:       cfg.Branch,
+		snapBudget:   cfg.SnapBudget,
+		opsExec:      &obs.Counter{},
 		collectPaths: collectPaths,
-		lru:           list.New(),
-		bank:          map[string]struct{}{},
+		lru:          list.New(),
+		bank:         map[string]struct{}{},
 	}
 	e.fcond = sync.NewCond(&e.fmu)
 	e.ccfg = cfg.Check
 	e.ccfg.OpsCounter = e.opsExec
 	e.root = &node{hash: mix64(uint64(cfg.Seed) ^ 0x53454e545259)}
-	e.rootSnap = snapshot.Adopt(check.NewWorld(e.ccfg, cfg.Seed))
+	e.rootWorld = check.NewWorld(e.ccfg, cfg.Seed)
+	e.rootWorld.FreezeBase()
 	return e
 }
 
@@ -450,32 +452,29 @@ func splitQuota(avail int, ops []check.Op) ([]check.Op, []int) {
 
 // materialise produces a live world positioned after n.op, applying n.op
 // itself and returning its violation, if any. The world comes from the
-// nearest live ancestor snapshot: the direct parent — whose reference this
+// nearest live parked ancestor: the direct parent — whose reference this
 // child owns and consumes — or, past evicted snapshots, an ancestor
 // reached by replaying the intermediate (previously clean) ops.
 func (e *explorer) materialise(n *node) (*check.World, *check.Violation) {
 	if n == e.root {
-		return e.rootSnap.Fork(), nil
+		return e.rootWorld.Fork(), nil
 	}
 	ops := []check.Op{n.op}
 	var src *check.World
 	a := n.parent
 	if a == e.root {
-		src = e.rootSnap.Fork()
+		src = e.rootWorld.Fork()
 		e.snapHits.Add(1)
 	} else {
 		a.mu.Lock()
 		a.refs--
 		last := a.refs == 0
-		if a.snap != nil {
+		if a.parked != nil {
 			if last {
-				if hw, ok := a.snap.HandOff(); ok {
-					src = hw
-					e.handOffs.Add(1)
-				}
-				a.snap = nil
+				src, a.parked = a.parked, nil
+				e.handOffs.Add(1)
 			} else {
-				src = a.snap.Fork()
+				src = a.parked.Fork()
 			}
 		}
 		a.mu.Unlock()
@@ -495,12 +494,12 @@ func (e *explorer) materialise(n *node) (*check.World, *check.Violation) {
 			ops = append(ops, a.op)
 			a = a.parent
 			if a == e.root {
-				src = e.rootSnap.Fork()
+				src = e.rootWorld.Fork()
 				break
 			}
 			a.mu.Lock()
-			if a.snap != nil {
-				src = a.snap.Fork()
+			if a.parked != nil {
+				src = a.parked.Fork()
 			}
 			a.mu.Unlock()
 			if src != nil {
@@ -522,12 +521,11 @@ func (e *explorer) materialise(n *node) (*check.World, *check.Violation) {
 }
 
 // park checkpoints w at branch node n for its children to consume, then
-// evicts the coldest snapshots beyond the resident budget. Lock order:
+// evicts the coldest parked worlds beyond the resident budget. Lock order:
 // node.mu and lruMu never nest.
 func (e *explorer) park(n *node, w *check.World, children int) {
-	sn := snapshot.Adopt(w)
 	n.mu.Lock()
-	n.snap, n.refs = sn, children
+	n.parked, n.refs = w, children
 	n.mu.Unlock()
 	var victims []*node
 	e.lruMu.Lock()
@@ -544,18 +542,15 @@ func (e *explorer) park(n *node, w *check.World, children int) {
 	}
 	e.lruMu.Unlock()
 	for _, vn := range victims {
-		// The evicted snapshot exclusively owns its world (forks taken from
-		// it are independent), so hand it off and recycle its fork-private
+		// The evicted node exclusively owns its parked world (forks taken
+		// from it are independent), so take it and recycle its fork-private
 		// allocations into the clone pool instead of dropping them for the
 		// collector. Children that still hold references replay from an
 		// ancestor, exactly as before.
-		var hw *check.World
 		vn.mu.Lock()
-		if vn.snap != nil {
-			if w, ok := vn.snap.HandOff(); ok {
-				hw = w
-			}
-			vn.snap = nil
+		hw := vn.parked
+		vn.parked = nil
+		if hw != nil {
 			e.evictions.Add(1)
 		}
 		vn.mu.Unlock()
@@ -632,7 +627,7 @@ func (e *explorer) addPath(sched check.Schedule) {
 	e.resMu.Unlock()
 }
 
-// replayCorpus drives each seeded corpus prefix from the root snapshot,
+// replayCorpus drives each seeded corpus prefix from the frozen root world,
 // checking (and counting) every step exactly like a tree node. Serial on
 // purpose: the corpus is small and running it before the pool keeps the
 // -j equivalence argument trivial.
@@ -641,7 +636,7 @@ func (e *explorer) replayCorpus() {
 		if len(pfx) == 0 {
 			continue
 		}
-		w := e.rootSnap.Fork()
+		w := e.rootWorld.Fork()
 		applied := 0
 		var v *check.Violation
 		for _, op := range pfx {
@@ -752,7 +747,7 @@ func (e *explorer) assemble() *Result {
 		})
 		best := e.violations[0]
 		r.Sched = best.sched
-		minimal, mv := check.ShrinkFrom(e.rootSnap, e.ccfg, e.cfg.Seed, best.sched)
+		minimal, mv := check.ShrinkFrom(e.rootWorld, e.ccfg, e.cfg.Seed, best.sched)
 		if mv == nil { // cannot happen: best.sched violated when explored
 			minimal, mv = best.sched, best.v
 		}
@@ -795,7 +790,7 @@ func (e *explorer) mirror(r *Result) {
 // Baseline measures the seed-replay cost of exactly the coverage a tree
 // run achieves. It runs the tree once (untimed) to enumerate the explored
 // schedules — every node, not just the leaves — then checks each one the
-// way the current campaign path would: fork the post-boot snapshot and
+// way the current campaign path would: fork the frozen post-boot world and
 // replay the schedule's ops in full, scanning at every step. Two
 // schedules sharing a 50-op prefix pay for those 50 ops twice here and
 // once in the tree; that duplicated work is precisely what the explorer
@@ -820,7 +815,8 @@ func Baseline(cfg Config) *Result {
 	}
 
 	start := time.Now()
-	boot := snapshot.Capture(check.NewWorld(bcfg, cfg.Seed))
+	boot := check.NewWorld(bcfg, cfg.Seed)
+	boot.FreezeBase()
 	type rec struct {
 		v    *check.Violation
 		dead bool

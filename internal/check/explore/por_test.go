@@ -33,7 +33,7 @@ func TestInertPairsCommute(t *testing.T) {
 
 	for seed := int64(1); seed <= 30; seed++ {
 		w := check.NewWorld(cfg, seed)
-		sched := check.Generate(sim.NewRNG(seed), cfg.Steps, cfg.Faults)
+		sched := check.GenerateFor(cfg, sim.NewRNG(seed), cfg.Steps)
 		for _, step := range sched {
 			if w.Dead() {
 				break

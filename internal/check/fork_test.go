@@ -6,14 +6,13 @@ import (
 
 	"sentry/internal/faults"
 	"sentry/internal/sim"
-	"sentry/internal/snapshot"
 )
 
 // Fork-soundness property tests for the checkpoint/fork engine: a forked
 // world must be observationally byte-identical to a cold-booted one at every
 // step of any schedule, and mutations in one fork must never leak into the
-// snapshot, the parent, or sibling forks. Run under -race these tests also
-// exercise the concurrent-fork contract.
+// checkpoint, the parent, or sibling forks. Run under -race these tests also
+// exercise the concurrent-fork contract of a FreezeBase'd world.
 
 func forkTestConfigs() []Config {
 	benign, _ := faults.ByName("benign")
@@ -34,16 +33,17 @@ func violationString(v *Violation) string {
 	return v.String()
 }
 
-// TestWorldForkMatchesColdBoot locks a cold-booted world and a fork from a
-// post-boot snapshot to the same schedule, comparing the violation stream at
-// every step and the complete world state at the end.
+// TestWorldForkMatchesColdBoot locks a cold-booted world and a fork of a
+// frozen post-boot world to the same schedule, comparing the violation
+// stream at every step and the complete world state at the end.
 func TestWorldForkMatchesColdBoot(t *testing.T) {
 	for ci, cfg := range forkTestConfigs() {
 		for seed := int64(1); seed <= 6; seed++ {
-			sched := Generate(sim.NewRNG(seed), cfg.Steps, cfg.Faults)
+			sched := GenerateFor(cfg, sim.NewRNG(seed), cfg.Steps)
 			cold := NewWorld(cfg, seed)
-			snap := snapshot.Capture(NewWorld(cfg, seed))
-			forked := snap.Fork()
+			boot := NewWorld(cfg, seed)
+			boot.FreezeBase()
+			forked := boot.Fork()
 			for i, op := range sched {
 				vc := cold.Apply(op)
 				vf := forked.Apply(op)
@@ -66,42 +66,46 @@ func TestWorldForkMatchesColdBoot(t *testing.T) {
 	}
 }
 
-// TestForkIsolation proves mutations never travel between forks: a sibling
-// fork and the live parent both run a different schedule between two
-// identical replays, and the replays must still agree exactly.
+// TestForkIsolation proves mutations never travel between forks: the live
+// parent keeps running after it is forked, a sibling fork runs a different
+// schedule, and two identical replays from the checkpoint must still agree
+// exactly.
 func TestForkIsolation(t *testing.T) {
 	cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 60}
 	seed := int64(5)
-	schedA := Generate(sim.NewRNG(seed), 60, cfg.Faults)
-	schedB := Generate(sim.NewRNG(seed+100), 60, cfg.Faults)
+	schedA := GenerateFor(cfg, sim.NewRNG(seed), 60)
+	schedB := GenerateFor(cfg, sim.NewRNG(seed+100), 60)
 
 	parent := NewWorld(cfg, seed)
-	snap := snapshot.Capture(parent)
+	boot := parent.Fork()
+	boot.FreezeBase()
 
-	first := snap.Fork()
-	replayFrom(first, schedA)
+	first := boot.Fork()
+	ReplayFrom(first, schedA)
 
-	// Contamination attempts: the parent keeps running after capture, and a
-	// sibling fork runs a different schedule.
-	replayFrom(parent, schedB)
-	sibling := snap.Fork()
-	replayFrom(sibling, schedB)
+	// Contamination attempts: the parent keeps running after the fork, and
+	// a sibling fork runs a different schedule.
+	ReplayFrom(parent, schedB)
+	sibling := boot.Fork()
+	ReplayFrom(sibling, schedB)
 
-	second := snap.Fork()
-	replayFrom(second, schedA)
+	second := boot.Fork()
+	ReplayFrom(second, schedA)
 	if d := DiffWorlds(first, second); d != "" {
-		t.Fatalf("snapshot contaminated by parent or sibling mutations: %s", d)
+		t.Fatalf("checkpoint contaminated by parent or sibling mutations: %s", d)
 	}
 }
 
-// TestConcurrentForks forks one snapshot from many goroutines at once (the
-// parallel bench pattern); under -race this proves the concurrent-fork
-// contract, and every fork must produce the identical end state.
+// TestConcurrentForks forks one frozen world from many goroutines at once,
+// with no lock (the parallel bench and explorer-root pattern); under -race
+// this proves forking a FreezeBase'd world never writes to it, and every
+// fork must produce the identical end state.
 func TestConcurrentForks(t *testing.T) {
 	cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 60}
 	seed := int64(3)
-	sched := Generate(sim.NewRNG(seed), 60, cfg.Faults)
-	snap := snapshot.Capture(NewWorld(cfg, seed))
+	sched := GenerateFor(cfg, sim.NewRNG(seed), 60)
+	boot := NewWorld(cfg, seed)
+	boot.FreezeBase()
 
 	const n = 8
 	worlds := make([]*World, n)
@@ -110,8 +114,8 @@ func TestConcurrentForks(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := snap.Fork()
-			replayFrom(w, sched)
+			w := boot.Fork()
+			ReplayFrom(w, sched)
 			worlds[i] = w
 		}(i)
 	}

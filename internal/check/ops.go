@@ -208,15 +208,6 @@ func (c Config) opWeights() []opWeight {
 	return w
 }
 
-// Generate draws a schedule of up to steps operations. Generation stops
-// early after a terminal op — the device is dead. All randomness (op choice
-// and op arguments) comes from rng, so a schedule is a pure function of
-// (seed, steps, profile). Kept for profile-only callers; configs with cache
-// attackers enabled must use GenerateFor.
-func Generate(rng *sim.RNG, steps int, prof faults.Profile) Schedule {
-	return GenerateFor(Config{Faults: prof}, rng, steps)
-}
-
 // GenerateFor draws a schedule from the config's full op alphabet —
 // including the cache-attack ops when cfg.Attacks enables them.
 func GenerateFor(cfg Config, rng *sim.RNG, steps int) Schedule {

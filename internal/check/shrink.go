@@ -1,7 +1,5 @@
 package check
 
-import "sentry/internal/snapshot"
-
 // maxShrinkReplays bounds the replay budget one shrink may spend. Schedules
 // are at most a few hundred ops and each replay is cheap, so the bound is
 // generous; it exists so a pathological flip-flopping candidate set cannot
@@ -10,15 +8,8 @@ const maxShrinkReplays = 4096
 
 // ReplayFrom executes ops against an already-built world and reports the
 // first violation. It is Replay's execution loop without the boot; the
-// explorer drives forked worlds through it when re-deriving evicted tree
-// nodes and replaying corpus prefixes.
+// shrinker and the explorer drive forked worlds through it.
 func ReplayFrom(w *World, ops Schedule) *Violation {
-	return replayFrom(w, ops)
-}
-
-// replayFrom executes ops against an already-built world and reports the
-// first violation. It is Replay's execution loop without the boot.
-func replayFrom(w *World, ops Schedule) *Violation {
 	for _, op := range ops {
 		if w.Dead() {
 			break
@@ -34,7 +25,7 @@ func replayFrom(w *World, ops Schedule) *Violation {
 // delta debugging: repeatedly try dropping contiguous chunks (halving the
 // chunk size down to single ops) and keep any candidate that still
 // violates. Every candidate is validated by a replay from the (cfg, seed)
-// boot state, forked from one captured post-boot world — byte-identical to
+// boot state, forked from one frozen post-boot world — byte-identical to
 // a cold boot (snapshot_identity_test.go) without the boot cost. Within a
 // sweep the surviving prefix cur[:start] is additionally kept advanced in a
 // live checkpoint world, so each candidate forks the checkpoint and replays
@@ -48,15 +39,17 @@ func replayFrom(w *World, ops Schedule) *Violation {
 // Returns the minimal schedule and its violation, or (sched, nil) if the
 // input does not violate in the first place.
 func Shrink(cfg Config, seed int64, sched Schedule) (Schedule, *Violation) {
-	return ShrinkFrom(snapshot.Capture(NewWorld(cfg, seed)), cfg, seed, sched)
+	boot := NewWorld(cfg, seed)
+	boot.FreezeBase()
+	return ShrinkFrom(boot, cfg, seed, sched)
 }
 
-// ShrinkFrom is Shrink reusing an already-captured post-boot snapshot of
-// NewWorld(cfg, seed) — the explorer hands its tree's root checkpoint in, so
+// ShrinkFrom is Shrink reusing an already-built, FreezeBase'd post-boot
+// world NewWorld(cfg, seed) — the explorer hands its tree's root in, so
 // shrinking a violation found among millions of schedules never re-boots.
 // A nil boot cold-boots per candidate instead: the reference path tests
 // compare the forked one against.
-func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched Schedule) (Schedule, *Violation) {
+func ShrinkFrom(boot *World, cfg Config, seed int64, sched Schedule) (Schedule, *Violation) {
 	replays := 0
 	violates := func(s Schedule) *Violation {
 		replays++
@@ -64,7 +57,7 @@ func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched S
 			return Replay(cfg, seed, s).Violation
 		}
 		w := boot.Fork()
-		v := replayFrom(w, s)
+		v := ReplayFrom(w, s)
 		w.Release()
 		return v
 	}
@@ -98,7 +91,7 @@ func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched S
 					// only the candidate's suffix.
 					replays++
 					cw := prefixW.Fork()
-					nv = replayFrom(cw, cur[start+chunk:])
+					nv = ReplayFrom(cw, cur[start+chunk:])
 					cw.Release()
 				} else {
 					nv = violates(cand)
@@ -116,7 +109,7 @@ func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched S
 					// violation fires at its end — but if it does, drop the
 					// checkpoint and fall back to full replays.
 					if prefixW != nil && prefixLen == start && start+2*chunk <= len(cur) {
-						if replayFrom(prefixW, cur[start:start+chunk]) != nil || prefixW.Dead() {
+						if ReplayFrom(prefixW, cur[start:start+chunk]) != nil || prefixW.Dead() {
 							prefixW = nil
 						} else {
 							prefixLen = start + chunk

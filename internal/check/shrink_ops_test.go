@@ -6,7 +6,6 @@ import (
 
 	"sentry/internal/faults"
 	"sentry/internal/obs"
-	"sentry/internal/snapshot"
 )
 
 // lockFlushOff is the ablation the shrink tests mine for violations: it
@@ -50,11 +49,12 @@ func TestShrinkCheckpointReplaysOnlySuffix(t *testing.T) {
 		ctr := &obs.Counter{}
 		ccfg := cfg
 		ccfg.OpsCounter = ctr
-		var snap *snapshot.Snapshot[*World]
+		var w *World
 		if boot {
-			snap = snapshot.Capture(NewWorld(ccfg, seed))
+			w = NewWorld(ccfg, seed)
+			w.FreezeBase()
 		}
-		minimal, v := ShrinkFrom(snap, ccfg, seed, sched)
+		minimal, v := ShrinkFrom(w, ccfg, seed, sched)
 		return minimal, v, ctr.Value()
 	}
 

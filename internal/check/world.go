@@ -730,15 +730,17 @@ func (w *World) Fork() *World {
 // state is copy-on-write and never recycled.
 func (w *World) Release() { w.S.Release() }
 
-// FreezeBase pins the world as the immutable base of a delta-encoded
-// population (see soc.SoC.FreezeBase): no op may be applied to it afterwards.
+// FreezeBase turns the world into a checkpoint (see soc.SoC.FreezeBase):
+// forks of it, and Deflates against it, never write to it, so any number of
+// goroutines may fork it at once without a lock. No op may be applied to
+// it afterwards.
 func (w *World) FreezeBase() { w.S.FreezeBase() }
 
 // Deflate re-encodes the world's platform state as a delta against a
 // FreezeBase'd base world (soc.SoC.Deflate): only diverged memory pages and
 // cache lines are retained. The world must be parked — exclusively owned,
 // never applied to again; the next Fork reconstructs a byte-identical dense
-// copy. Satisfies snapshot.Deflater for snapshot.CaptureDelta.
+// copy.
 func (w *World) Deflate(base *World) int64 { return w.S.Deflate(base.S) }
 
 // Dead reports whether a terminal op (or fault) killed the device.

@@ -104,35 +104,6 @@ func (sn *Sentry) BackgroundCapacityPages() int {
 	return len(sn.bg.slots)
 }
 
-// cryptAt encrypts/decrypts one page in place at addr, with the IV bound to
-// the page's home frame (stable across page-in/out cycles within a lock
-// epoch).
-func (sn *Sentry) cryptAt(addr, ivFrame mem.PhysAddr, decrypt bool) {
-	var page [mem.PageSize]byte
-	startCycle := sn.S.Clock.Cycles()
-	sn.S.CPU.ReadPhys(addr, page[:])
-	iv := sn.pageIV(ivFrame, sn.epochFor(ivFrame, decrypt))
-	var err error
-	if sn.cfg.Fidelity {
-		if decrypt {
-			err = sn.engine.DecryptCBC(page[:], page[:], iv)
-		} else {
-			err = sn.engine.EncryptCBC(page[:], page[:], iv)
-		}
-	} else {
-		if decrypt {
-			err = sn.engine.DecryptCBCBulk(page[:], page[:], iv)
-		} else {
-			err = sn.engine.EncryptCBCBulk(page[:], page[:], iv)
-		}
-	}
-	if err != nil {
-		panic(fmt.Sprintf("core: background crypt failed: %v", err))
-	}
-	sn.S.CPU.WritePhys(addr, page[:])
-	sn.observeCrypt(addr, decrypt, SealBg, startCycle)
-}
-
 // copyPage moves one page between physical locations through the CPU.
 func (sn *Sentry) copyPage(dst, src mem.PhysAddr) {
 	var page [mem.PageSize]byte
@@ -143,7 +114,7 @@ func (sn *Sentry) copyPage(dst, src mem.PhysAddr) {
 // bgPageOut evicts one slot: encrypt in place in the locked way, copy the
 // ciphertext to the DRAM home, re-arm the trap.
 func (sn *Sentry) bgPageOut(slot *bgSlot) {
-	sn.cryptAt(slot.addr, slot.home, false)
+	sn.cryptPage(slot.addr, slot.home, false, SealBg)
 	sn.copyPage(slot.home, slot.addr)
 	if pte := sn.bg.proc.AS.Lookup(slot.v); pte != nil {
 		pte.Phys = slot.home
@@ -172,7 +143,7 @@ func (sn *Sentry) bgPageIn(p *kernel.Process, v mmu.VirtAddr, pte *mmu.PTE) bool
 	}
 	home := mem.PageBase(pte.Phys)
 	sn.copyPage(slot.addr, home)
-	sn.cryptAt(slot.addr, home, true)
+	sn.cryptPage(slot.addr, home, true, SealBg)
 	slot.occupied = true
 	slot.v = mmu.PageBase(v)
 	slot.home = home

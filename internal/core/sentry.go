@@ -43,11 +43,6 @@ type Config struct {
 	// prototypes).
 	EngineInLockedWay bool
 
-	// Fidelity runs all page cryptography with per-access memory
-	// simulation instead of the bulk cost model. Orders of magnitude
-	// slower; used by security tests on small footprints.
-	Fidelity bool
-
 	// ReservedWays locks a constant way budget at boot (see
 	// onsoc.WayLocker.ReserveWays): session lock/unlock cycles served from
 	// the budget never change the externally observable lock state, closing
@@ -408,34 +403,28 @@ func (sn *Sentry) epochFor(frame mem.PhysAddr, decrypt bool) uint64 {
 	return sn.epoch
 }
 
-// cryptPage encrypts or decrypts the 4 KB at frame in place. label says why
-// (SealLock, SealDemand, SealEager, SealBg) and is carried on the trace
-// event so trace-derived reports can split volumes the same way Stats does.
-func (sn *Sentry) cryptPage(frame mem.PhysAddr, decrypt bool, label string) {
+// cryptPage encrypts or decrypts the 4 KB at addr in place, with the IV
+// bound to ivFrame — the page's home frame, which differs from addr only
+// for background-session slots (stable across page-in/out cycles within a
+// lock epoch). label says why (SealLock, SealDemand, SealEager, SealBg) and
+// is carried on the trace event so trace-derived reports can split volumes
+// the same way Stats does.
+func (sn *Sentry) cryptPage(addr, ivFrame mem.PhysAddr, decrypt bool, label string) {
 	var page [mem.PageSize]byte
-	cpu := sn.S.CPU
 	startCycle := sn.S.Clock.Cycles()
-	cpu.ReadPhys(frame, page[:])
-	iv := sn.pageIV(frame, sn.epochFor(frame, decrypt))
+	sn.S.CPU.ReadPhys(addr, page[:])
+	iv := sn.pageIV(ivFrame, sn.epochFor(ivFrame, decrypt))
 	var err error
-	if sn.cfg.Fidelity {
-		if decrypt {
-			err = sn.engine.DecryptCBC(page[:], page[:], iv)
-		} else {
-			err = sn.engine.EncryptCBC(page[:], page[:], iv)
-		}
+	if decrypt {
+		err = sn.engine.DecryptCBCBulk(page[:], page[:], iv)
 	} else {
-		if decrypt {
-			err = sn.engine.DecryptCBCBulk(page[:], page[:], iv)
-		} else {
-			err = sn.engine.EncryptCBCBulk(page[:], page[:], iv)
-		}
+		err = sn.engine.EncryptCBCBulk(page[:], page[:], iv)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("core: page crypt failed: %v", err)) // sizes are fixed; cannot happen
 	}
-	cpu.WritePhys(frame, page[:])
-	sn.observeCrypt(frame, decrypt, label, startCycle)
+	sn.S.CPU.WritePhys(addr, page[:])
+	sn.observeCrypt(addr, decrypt, label, startCycle)
 }
 
 // observeCrypt records one page seal/unseal: a latency observation and,
@@ -506,7 +495,7 @@ func (sn *Sentry) encryptOnLock() {
 			}
 			frame := mem.PageBase(pte.Phys)
 			if !done[frame] {
-				sn.cryptPage(frame, false, SealLock)
+				sn.cryptPage(frame, frame, false, SealLock)
 				sn.ctrLockEnc.Add(mem.PageSize)
 				done[frame] = true
 				sealed++
@@ -526,7 +515,7 @@ func (sn *Sentry) encryptOnLock() {
 	for _, nr := range sn.K.SensitiveKernelRanges {
 		for off := uint64(0); off < nr.Size; off += mem.PageSize {
 			frame := nr.Base + mem.PhysAddr(off)
-			sn.cryptPage(frame, false, SealLock)
+			sn.cryptPage(frame, frame, false, SealLock)
 			sn.ctrLockEnc.Add(mem.PageSize)
 			sn.sealedKernelFrames = append(sn.sealedKernelFrames, frame)
 			sealed++
@@ -572,7 +561,7 @@ func (sn *Sentry) flushMask() uint32 {
 func (sn *Sentry) onUnlock() {
 	sn.endBackground()
 	for _, frame := range sn.sealedKernelFrames {
-		sn.cryptPage(frame, true, SealEager)
+		sn.cryptPage(frame, frame, true, SealEager)
 		sn.ctrEagerDec.Add(mem.PageSize)
 	}
 	sn.sealedKernelFrames = nil
@@ -611,7 +600,7 @@ func (sn *Sentry) decryptDMARegion(p *kernel.Process, r kernel.Range) {
 		if !ok || !m.pte.Encrypted {
 			continue
 		}
-		sn.cryptPage(frame, true, SealEager)
+		sn.cryptPage(frame, frame, true, SealEager)
 		sn.ctrEagerDec.Add(mem.PageSize)
 		m.pte.Encrypted = false
 		m.pte.Young = true
@@ -638,7 +627,7 @@ func (sn *Sentry) handleFault(p *kernel.Process, f *mmu.Fault) bool {
 	}
 	sn.ctrDemandFault.Inc()
 	frame := mem.PageBase(pte.Phys)
-	sn.cryptPage(frame, true, SealDemand)
+	sn.cryptPage(frame, frame, true, SealDemand)
 	sn.ctrDemandDec.Add(mem.PageSize)
 	pte.Encrypted = false
 	pte.Young = true

@@ -143,31 +143,25 @@ func TestDecryptOnDemandAfterUnlock(t *testing.T) {
 }
 
 func TestLockUnlockRoundTripPreservesEveryByte(t *testing.T) {
-	for _, fidelity := range []bool{false, true} {
-		sn, k, s := bootTegra(t, Config{Fidelity: fidelity})
-		p := k.NewProcess("app", true, false)
-		pages := 3
-		if fidelity {
-			pages = 1 // fidelity mode simulates every access; keep it small
-		}
-		base, _ := k.MapAnon(p, pages)
-		k.Switch(p)
-		want := make([]byte, pages*mem.PageSize)
-		s.RNG.Read(want)
-		if err := s.CPU.Store(base, want); err != nil {
-			t.Fatal(err)
-		}
-		k.Lock()
-		_ = k.Unlock(pin)
-		k.Switch(p)
-		got := make([]byte, len(want))
-		if err := s.CPU.Load(base, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("fidelity=%v: data corrupted by lock/unlock", fidelity)
-		}
-		_ = sn
+	_, k, s := bootTegra(t, Config{})
+	p := k.NewProcess("app", true, false)
+	const pages = 3
+	base, _ := k.MapAnon(p, pages)
+	k.Switch(p)
+	want := make([]byte, pages*mem.PageSize)
+	s.RNG.Read(want)
+	if err := s.CPU.Store(base, want); err != nil {
+		t.Fatal(err)
+	}
+	k.Lock()
+	_ = k.Unlock(pin)
+	k.Switch(p)
+	got := make([]byte, len(want))
+	if err := s.CPU.Load(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("data corrupted by lock/unlock")
 	}
 }
 

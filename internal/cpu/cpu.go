@@ -153,7 +153,7 @@ func (c *CPU) ReadPhys(addr mem.PhysAddr, dst []byte) {
 		c.chargeIRAM(len(dst))
 		return
 	}
-	c.l2.ReadBytes(addr, dst)
+	c.l2.Read(addr, dst)
 }
 
 // WritePhys performs a cacheable physical write of src.
@@ -164,17 +164,8 @@ func (c *CPU) WritePhys(addr mem.PhysAddr, src []byte) {
 		c.chargeIRAM(len(src))
 		return
 	}
-	c.l2.WriteBytes(addr, src)
+	c.l2.Write(addr, src)
 }
-
-// ReadBytes is the explicit burst read: one cache line per step through the
-// L2 (cache.ReadBytes), charging exactly the events and costs the same range
-// would incur as individual word accesses. It is what page-sized transfers
-// (Sentry's cryptPage, the background pager) ride on.
-func (c *CPU) ReadBytes(addr mem.PhysAddr, dst []byte) { c.ReadPhys(addr, dst) }
-
-// WriteBytes is the burst write twin of ReadBytes.
-func (c *CPU) WriteBytes(addr mem.PhysAddr, src []byte) { c.WritePhys(addr, src) }
 
 // ReadPhysUncached reads DRAM bypassing the cache (device/strongly-ordered
 // mapping). The transfer is visible on the external bus.

@@ -14,7 +14,6 @@ import (
 	"sentry/internal/faults"
 	"sentry/internal/kernel"
 	"sentry/internal/onsoc"
-	"sentry/internal/snapshot"
 	"sentry/internal/soc"
 )
 
@@ -102,8 +101,8 @@ type device struct {
 
 // Fork returns an independent continuation of the device — world forked
 // (World.Fork), disk and crypto engine re-pointed at the forked stores — so
-// the fork replays exactly what the original would have done. It is what
-// snapshot.Snapshot[*device] parks and hydrates.
+// the fork replays exactly what the original would have done. Hydrating a
+// parked device is a Fork of it.
 func (d *device) Fork() *device {
 	w2 := d.w.Fork()
 	d2 := &device{
@@ -245,7 +244,7 @@ func (a *actor) exit() {
 	}
 }
 
-// hydrate restores the device from the slot's parked snapshot: a fork, not
+// hydrate restores the device from the slot's parked device: a fork, not
 // a boot — byte-identical to having stayed resident, and never counted as
 // a boot.
 func (a *actor) hydrate() {
@@ -255,8 +254,8 @@ func (a *actor) hydrate() {
 	a.f.ctrHydrations.Inc()
 }
 
-// park is the eviction path: deflate the live world to a delta against the
-// fleet's shared base and adopt it into the slot's snapshot (no copy; the
+// park is the eviction path: deflate the live device to a delta against the
+// fleet's shared base and keep it as the slot's parked device (no copy; the
 // next hydration forks a dense reconstruction), so a parked device rests at
 // O(divergence from base) instead of O(everything it ever touched). A park
 // implies a prior boot, so f.base is published (the booting actor's
@@ -268,14 +267,14 @@ func (a *actor) park() {
 		r.reply <- result{err: ErrShed}
 	}
 	var bytes int64
+	a.sl.parked = nil
 	if a.d != nil && !a.d.w.Dead() {
 		if a.f.opt.testPark != nil {
-			a.sl.parked, bytes = a.f.opt.testPark(a.d)
+			bytes = a.f.opt.testPark(a.d)
 		} else {
-			a.sl.parked, bytes = snapshot.CaptureDelta[*device, *check.World](a.d, a.f.base)
+			bytes = a.d.Deflate(a.f.base)
 		}
-	} else {
-		a.sl.parked = nil
+		a.sl.parked = a.d
 	}
 	a.f.gParkedBytes.Add(bytes - a.sl.parkedBytes)
 	a.sl.parkedBytes = bytes
@@ -365,8 +364,8 @@ func (a *actor) recoverPanic(rec any) error {
 	return fmt.Errorf("fleet: device %d: %s: %w", a.sl.id, cause, ErrDeviceRestarted)
 }
 
-// reboot boots a fresh device forked from the fleet's shared post-boot
-// snapshot. Boot failure is terminal: the device is quarantined (nothing a
+// reboot boots a fresh device forked from the fleet's shared frozen post-boot
+// world. Boot failure is terminal: the device is quarantined (nothing a
 // retry could change about a deterministic boot).
 func (a *actor) reboot(why string) {
 	a.sl.boots.Add(1)
@@ -441,7 +440,7 @@ func deviceVolKey(base []byte, id DeviceID) []byte {
 func (a *actor) bootDevice() (*device, error) {
 	opt, id := a.f.opt, a.sl.id
 	seed := bootSeed(opt.Seed, id)
-	base, err := a.f.baseSnapshot()
+	base, err := a.f.baseWorld()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"sentry/internal/aes"
 	"sentry/internal/kernel"
+	"sentry/internal/onsoc"
 )
 
 // DeviceID names one logical device in the fleet's 64-bit ID space.
@@ -83,44 +84,51 @@ const (
 	// and withheld the ciphertext (aes.FaultDetectedError). Transient — the
 	// device rekeys and the request is safe to retry.
 	CodeFaultDetected = "fault_detected"
+	// CodeIRAMExhausted and CodeNoMemory: momentary memory pressure on the
+	// device (onsoc.ErrIRAMExhausted, kernel.ErrNoMemory). Transient.
+	CodeIRAMExhausted = "iram_exhausted"
+	CodeNoMemory      = "no_memory"
 	CodeOther         = "other"
 )
+
+// codeSentinels pairs every sentinel-backed wire code with its sentinel,
+// most specific first: ErrorCode picks the first entry an error wraps, and
+// ErrorForCode wraps the entry's sentinel.
+var codeSentinels = []struct {
+	code string
+	err  error
+}{
+	{CodeBadPIN, kernel.ErrBadPIN},
+	{CodeQuarantined, ErrQuarantined},
+	{CodeRestarted, ErrDeviceRestarted},
+	{CodeShed, ErrShed},
+	{CodeOverload, ErrOverload},
+	{CodeCircuitOpen, ErrCircuitOpen},
+	{CodeLocked, kernel.ErrLocked},
+	{CodeDeadline, context.DeadlineExceeded},
+	{CodeCanceled, context.Canceled},
+	{CodeShutdown, ErrShutdown},
+	{CodeUnknownDevice, ErrUnknownDevice},
+	{CodeIRAMExhausted, onsoc.ErrIRAMExhausted},
+	{CodeNoMemory, kernel.ErrNoMemory},
+}
 
 // ErrorCode buckets an error into its wire code, most specific first.
 // "ok" for nil.
 func ErrorCode(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return CodeOK
-	case errors.Is(err, kernel.ErrBadPIN):
-		return CodeBadPIN
-	case errors.Is(err, ErrQuarantined):
-		return CodeQuarantined
-	case errors.Is(err, ErrDeviceRestarted):
-		return CodeRestarted
-	case errors.Is(err, ErrShed):
-		return CodeShed
-	case errors.Is(err, ErrOverload):
-		return CodeOverload
-	case errors.Is(err, ErrCircuitOpen):
-		return CodeCircuitOpen
-	case errors.Is(err, kernel.ErrLocked):
-		return CodeLocked
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeDeadline
-	case errors.Is(err, context.Canceled):
-		return CodeCanceled
-	case errors.Is(err, ErrShutdown):
-		return CodeShutdown
-	case errors.Is(err, ErrUnknownDevice):
-		return CodeUnknownDevice
-	default:
-		var fd *aes.FaultDetectedError
-		if errors.As(err, &fd) {
-			return CodeFaultDetected
-		}
-		return CodeOther
 	}
+	for _, cs := range codeSentinels {
+		if errors.Is(err, cs.err) {
+			return cs.code
+		}
+	}
+	var fd *aes.FaultDetectedError
+	if errors.As(err, &fd) {
+		return CodeFaultDetected
+	}
+	return CodeOther
 }
 
 // ErrorForCode reconstructs a typed error from its wire code and message:
@@ -131,28 +139,19 @@ func ErrorForCode(code, msg string) error {
 	if code == "" || code == CodeOK {
 		return nil
 	}
+	var sentinel error
 	if code == CodeFaultDetected {
 		// Reconstruct a typed fault-detection error (the countermeasure and
 		// block index stay in the message): errors.As matches it, so the
 		// classifier sees it as transient on both transports.
-		if msg == "" {
-			msg = code
-		}
-		return fmt.Errorf("fleet: remote: %s: %w", msg, &aes.FaultDetectedError{})
+		sentinel = &aes.FaultDetectedError{}
 	}
-	sentinel := map[string]error{
-		CodeBadPIN:        kernel.ErrBadPIN,
-		CodeLocked:        kernel.ErrLocked,
-		CodeQuarantined:   ErrQuarantined,
-		CodeRestarted:     ErrDeviceRestarted,
-		CodeShed:          ErrShed,
-		CodeOverload:      ErrOverload,
-		CodeCircuitOpen:   ErrCircuitOpen,
-		CodeDeadline:      context.DeadlineExceeded,
-		CodeCanceled:      context.Canceled,
-		CodeShutdown:      ErrShutdown,
-		CodeUnknownDevice: ErrUnknownDevice,
-	}[code]
+	for _, cs := range codeSentinels {
+		if cs.code == code {
+			sentinel = cs.err
+			break
+		}
+	}
 	if sentinel == nil {
 		return fmt.Errorf("fleet: remote error (%s): %s", code, msg)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"sentry/internal/blockdev"
 	"sentry/internal/check"
-	"sentry/internal/snapshot"
 )
 
 // Delta-encoded parking. The byte-level soundness proof (delta park ≡ full
@@ -18,11 +17,11 @@ import (
 // footprint reduction the 10^6-device claim rests on, and report identity
 // between the two encodings under a real soak.
 
-// withFullPark parks evicted devices as full snapshots, charging the dense
-// footprint: the reference the delta encoding is measured against.
+// withFullPark parks evicted devices whole, charging the dense footprint:
+// the reference the delta encoding is measured against.
 func withFullPark(o *Options) {
-	o.testPark = func(d *device) (*snapshot.Snapshot[*device], int64) {
-		return snapshot.Adopt(d), d.w.S.FootprintBytes() + d.looseBytes()
+	o.testPark = func(d *device) int64 {
+		return d.w.S.FootprintBytes() + d.looseBytes()
 	}
 }
 
@@ -169,7 +168,7 @@ func TestParkedBytesGaugeLifecycle(t *testing.T) {
 }
 
 // TestHydratedDeviceEqualsResident is delta parking's soundness at device
-// level: a device parked with snapshot.CaptureDelta and hydrated is
+// level: a device parked with Deflate and hydrated by Fork is
 // check.DiffWorlds-identical to a fork taken while it was resident (clock,
 // energy, RNG, registers, cache, lock state and memory), its written disk
 // sectors read back equal, and the two stay identical under further ops.
@@ -194,8 +193,8 @@ func TestHydratedDeviceEqualsResident(t *testing.T) {
 		Op{Code: OpLock}, Op{Code: OpBgBegin}, Op{Code: OpBgTouch, Arg: 11})
 
 	resident := d.Fork()
-	parked, _ := snapshot.CaptureDelta[*device, *check.World](d, f.base)
-	a.d = parked.Fork()
+	d.Deflate(f.base)
+	a.d = d.Fork()
 	if diff := check.DiffWorlds(resident.w, a.d.w); diff != "" {
 		t.Fatalf("hydrated device diverged from its resident fork: %s", diff)
 	}

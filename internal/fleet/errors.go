@@ -76,6 +76,3 @@ func Transient(err error) bool {
 	}
 	return false
 }
-
-// Permanent reports the complement of Transient for non-nil errors.
-func Permanent(err error) bool { return err != nil && !Transient(err) }

@@ -44,7 +44,6 @@ import (
 	"sentry/internal/check"
 	"sentry/internal/faults"
 	"sentry/internal/obs"
-	"sentry/internal/snapshot"
 )
 
 // Registry names of the fleet's metrics.
@@ -77,7 +76,7 @@ const (
 
 // Options is the resolved configuration of a Fleet. Construct a fleet with
 // Open and functional options; Options remains exported as the resolved
-// form. Every boot forks the fleet's shared post-boot snapshot and every
+// form. Every boot forks the fleet's shared frozen post-boot world and every
 // park is a delta against it; neither is an option. Every device unlocks
 // with check.PIN.
 type Options struct {
@@ -128,9 +127,10 @@ type Options struct {
 	// testExec, when set, intercepts ops before the device executes them;
 	// tests use it to inject stalls, panics, and scripted failures.
 	testExec func(a *actor, op Op) (handled bool, res Result, err error)
-	// testPark, when set, replaces delta parking; tests use it to park
-	// full snapshots as the reference the delta encoding is compared to.
-	testPark func(d *device) (parked *snapshot.Snapshot[*device], bytes int64)
+	// testPark, when set, replaces delta parking: the device is parked
+	// whole, charged the bytes testPark returns. Tests use it as the
+	// reference the delta encoding is compared to.
+	testPark func(d *device) (bytes int64)
 }
 
 func (o Options) withDefaults() Options {
@@ -220,13 +220,12 @@ type Fleet struct {
 	admMax      int64
 	admInflight atomic.Int64
 
-	// baseSnap is the shared post-boot snapshot every device's boot forks:
-	// one pristine platform per fleet, built lazily by the first boot and
-	// held as a check.World with no workload. base is the same world
-	// object, frozen (FreezeBase) so it can also serve as the read-only base
-	// delta parks deflate against.
+	// base is the shared post-boot world every device's boot forks: one
+	// pristine platform per fleet, built lazily by the first boot and held
+	// as a check.World with no workload. It is frozen (FreezeBase), so boots
+	// fork it and delta parks deflate against it concurrently, without a
+	// lock.
 	baseOnce sync.Once
-	baseSnap *snapshot.Snapshot[*check.World]
 	base     *check.World
 	baseErr  error
 
@@ -330,26 +329,21 @@ func shardCap(total, shards, idx int) int {
 	return c
 }
 
-// baseSnapshot returns the fleet's shared post-boot world, booting it on
-// first use. Every device boot forks this one snapshot, so the marginal
-// cost of a new device is fork metadata plus its own workload setup, not a
-// full platform boot.
-func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*check.World], error) {
+// baseWorld returns the fleet's shared post-boot world, booting it on first
+// use. Every device boot forks this one world, so the marginal cost of a
+// new device is fork metadata plus its own workload setup, not a full
+// platform boot.
+func (f *Fleet) baseWorld() (*check.World, error) {
 	f.baseOnce.Do(func() {
 		sd, err := sentry.Open(sentry.Tegra3, check.PIN, sentry.WithSeed(baseBootSeed(f.opt.Seed)))
 		if err != nil {
 			f.baseErr = err
 			return
 		}
-		// Freeze the base world: it serves two concurrent roles — the
-		// parked snapshot every boot forks (serialised by the snapshot
-		// mutex) and the read-only base every delta park deflates against
-		// (lock-free reads from parking actors).
 		f.base = &check.World{S: sd.SoC, K: sd.Kernel, Sn: sd.Sentry}
 		f.base.FreezeBase()
-		f.baseSnap = snapshot.Adopt(f.base)
 	})
-	return f.baseSnap, f.baseErr
+	return f.base, f.baseErr
 }
 
 // Metrics returns the fleet's registry.

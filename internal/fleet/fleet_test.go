@@ -75,10 +75,6 @@ func TestTransientClassifier(t *testing.T) {
 		if got := Transient(c.err); got != c.transient {
 			t.Errorf("Transient(%v) = %v, want %v", c.err, got, c.transient)
 		}
-		wantPerm := c.err != nil && !c.transient
-		if got := Permanent(c.err); got != wantPerm {
-			t.Errorf("Permanent(%v) = %v, want %v", c.err, got, wantPerm)
-		}
 	}
 }
 
@@ -90,6 +86,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		kernel.ErrBadPIN, kernel.ErrLocked, ErrQuarantined, ErrDeviceRestarted,
 		ErrShed, ErrOverload, ErrCircuitOpen, ErrShutdown, ErrUnknownDevice,
 		context.DeadlineExceeded, context.Canceled,
+		onsoc.ErrIRAMExhausted, kernel.ErrNoMemory,
 	}
 	for _, sent := range sentinels {
 		code := ErrorCode(wrap(sent))

@@ -37,7 +37,7 @@ func TestDeviceVolKeyDistinct(t *testing.T) {
 	}
 }
 
-// parkedVolKey parks nothing itself: it forks device id's parked snapshot
+// parkedVolKey parks nothing itself: it forks device id's parked device
 // (the safe read path for parked state) and returns the volume key the
 // derivation assigns the device, plus the key actually resident in its
 // iRAM. (That the world's scanner hunts for the resident key is
@@ -54,7 +54,7 @@ func parkedVolKey(t *testing.T, f *Fleet, id DeviceID) (derived, inIRAM []byte) 
 	if p == nil {
 		t.Fatalf("device %d is not parked", id)
 	}
-	base := f.baseSnap.Fork() // never read the frozen base itself
+	base := f.base.Fork() // never read the frozen base itself
 	return deviceVolKey(base.Sn.Keys().VolatileKey(), id), p.Fork().w.Sn.Keys().VolatileKey()
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"sentry/internal/snapshot"
 )
 
 // slotState is the residency lifecycle of one logical device.
@@ -43,7 +41,7 @@ type slot struct {
 	lruPrev  *slot
 	lruNext  *slot
 
-	parked *snapshot.Snapshot[*device]
+	parked *device
 	// parkedBytes is the estimated resting cost of sl.parked as of the
 	// last park; the delta against it keeps the fleet's parked-bytes gauge
 	// current. Owned by the parking actor (hand-off through the shard

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -70,6 +71,45 @@ func TestStoreRepeatedSeal(t *testing.T) {
 	}
 	if late.ByteAt(0) != 9 {
 		t.Fatal("later fork missed the re-sealed write")
+	}
+}
+
+// TestStoreConcurrentForks hammers Fork on a sealed store from many
+// goroutines under the race detector: once sealed with no private pages,
+// Fork is a pure read of the store, and every fork must independently hold
+// the sealed bytes while its own writes stay private.
+func TestStoreConcurrentForks(t *testing.T) {
+	const span = 16 * PageSize
+	s := NewStore(span)
+	fillPattern(s, 0, span, 0x5A)
+	s.Seal()
+	want := readBack(s, 0, span)
+
+	const forkers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, forkers)
+	for g := 0; g < forkers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				f := s.Fork()
+				if !bytes.Equal(readBack(f, 0, span), want) {
+					errs[g] = fmt.Errorf("fork %d/%d does not hold the sealed bytes", g, i)
+					return
+				}
+				fillPattern(f, 0, span, byte(g)) // private writes must not race
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(readBack(s, 0, span), want) {
+		t.Fatal("fork writes leaked into the sealed store")
 	}
 }
 

@@ -325,7 +325,7 @@ func (s *Store) TouchedPages() []uint64 {
 // identical for a given seed.
 func (s *Store) MutatePages(fn func(base uint64, data []byte)) {
 	for _, base := range s.TouchedPages() {
-		fn(base, s.materialise(base>>PageShift)[:])
+		fn(base, s.materialise(base >> PageShift)[:])
 	}
 }
 

@@ -33,9 +33,9 @@ func TestRebasePreservesContents(t *testing.T) {
 	base.Seal()
 
 	fork := base.Fork()
-	fork.Write(3*PageSize, []byte("DIVERGED"))           // shadow a base page
-	fork.Write(12*PageSize, []byte("fresh private"))     // page the base never touched
-	fork.SetByte(7*PageSize+100, 'b')                    // rewrite a base byte with its own value
+	fork.Write(3*PageSize, []byte("DIVERGED"))       // shadow a base page
+	fork.Write(12*PageSize, []byte("fresh private")) // page the base never touched
+	fork.SetByte(7*PageSize+100, 'b')                // rewrite a base byte with its own value
 	want := NewStore(1 << 20)
 	for _, off := range fork.TouchedPages() {
 		buf := make([]byte, PageSize)

@@ -12,6 +12,6 @@ const OwnerGuardEnabled = false
 // resolution pay nothing for the debug-build feature.
 type owner struct{}
 
-func (o *owner) bind()         {}
-func (o *owner) unbind()       {}
-func (o *owner) check(string)  {}
+func (o *owner) bind()        {}
+func (o *owner) unbind()      {}
+func (o *owner) check(string) {}

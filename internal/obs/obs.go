@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -449,7 +450,7 @@ func (j *JSONLSink) Err() error {
 // ReadJSONL parses a JSONL trace produced by JSONLSink back into events.
 func ReadJSONL(data []byte) ([]Event, error) {
 	var out []Event
-	dec := json.NewDecoder(bytesReader(data))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {
@@ -460,21 +461,4 @@ func ReadJSONL(data []byte) ([]Event, error) {
 		}
 		out = append(out, ev)
 	}
-}
-
-// bytesReader avoids importing bytes just for NewReader.
-type byteSliceReader struct {
-	b []byte
-	i int
-}
-
-func bytesReader(b []byte) *byteSliceReader { return &byteSliceReader{b: b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }

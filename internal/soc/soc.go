@@ -241,21 +241,14 @@ func (s *SoC) rekeyCacheIndex() {
 	}
 }
 
-// Freeze seals both memory devices so subsequent Forks share their pages
-// copy-on-write without mutating this SoC. Freeze is idempotent; after it, a
-// parked (no longer mutated) SoC may be forked from multiple goroutines
-// concurrently.
-func (s *SoC) Freeze() {
+// FreezeBase pins the platform as the immutable base of a fork population:
+// both memory stores are sealed and the L2 is pinned read-only
+// (FreezeShared), so concurrent Forks clone it, and Deflates compare
+// against it, without any parent-side mutation. The frozen SoC must never
+// run again. Idempotent.
+func (s *SoC) FreezeBase() {
 	s.IRAM.Store().Seal()
 	s.DRAM.Store().Seal()
-}
-
-// FreezeBase is the stronger freeze a delta-encoding population needs: it
-// seals the stores (Freeze) and pins the L2 read-only (FreezeShared), so
-// this SoC can serve as the shared base that Deflate compares against and
-// that concurrent Forks clone without any parent-side mutation.
-func (s *SoC) FreezeBase() {
-	s.Freeze()
 	s.L2.FreezeShared()
 }
 

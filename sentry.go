@@ -264,29 +264,12 @@ func Open(platform Platform, pin string, opts ...Option) (*Device, error) {
 	return &Device{SoC: s, Kernel: k, Sentry: sn}, nil
 }
 
-// NewTegra3 boots the NVidia Tegra 3 development board configuration: the
-// full prototype with cache locking, TrustZone, and background sessions.
-//
-// Deprecated: use Open(Tegra3, pin, WithSeed(seed), WithConfig(cfg)).
-func NewTegra3(seed int64, pin string, cfg Config) (*Device, error) {
-	return Open(Tegra3, pin, WithSeed(seed), WithConfig(cfg))
-}
-
-// NewNexus4 boots the Google Nexus 4 configuration: locked firmware, so no
-// cache locking or background execution, but a crypto accelerator.
-//
-// Deprecated: use Open(Nexus4, pin, WithSeed(seed), WithConfig(cfg)).
-func NewNexus4(seed int64, pin string, cfg Config) (*Device, error) {
-	return Open(Nexus4, pin, WithSeed(seed), WithConfig(cfg))
-}
-
 // Fork returns an independent copy of the device continuing from its exact
 // current state: clock, energy meter, RNG position, kernel and Sentry state
 // all carry over, and memory is shared copy-on-write with the parent, so a
 // fork costs O(touched metadata) instead of a boot. Both devices stay fully
-// usable and never observe each other's subsequent writes. The fleet service
-// layer restores restarted devices from a post-boot fork; snapshot.Capture
-// parks one for repeated forking.
+// usable and never observe each other's subsequent writes. To fork one
+// checkpoint repeatedly, possibly from many goroutines, FreezeBase it first.
 func (d *Device) Fork() *Device {
 	s2 := d.SoC.Fork()
 	k2, pm := d.Kernel.Clone(s2)
