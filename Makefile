@@ -27,11 +27,13 @@ race:
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracerDisabled|BenchmarkNoEmitBaseline' -benchtime 2s ./internal/obs/
 
-# Microbenchmarks: mem.Store COW, L2 fill, and checkpoint/fork cost. A fixed
-# iteration count (-benchtime 100x) keeps the run fast and deterministic in
-# shape; read the ns/op numbers comparatively, not absolutely.
+# Microbenchmarks: mem.Store COW, L2 fill, checkpoint/fork cost, and one
+# fleet park/hydrate cycle (B/op and allocs/op are its bytes and allocations).
+# A fixed iteration count (-benchtime 100x) keeps the run fast and
+# deterministic in shape; read the ns/op numbers comparatively, not
+# absolutely.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/mem/ ./internal/cache/ ./internal/check/
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/mem/ ./internal/cache/ ./internal/check/ ./internal/fleet/
 
 # Re-record the evaluation suite's wall-clock costs: one serial run (-j 1,
 # comparable across machines), one worker-pool run (-j 0), and the

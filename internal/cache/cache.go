@@ -301,11 +301,19 @@ func (c *L2) newLineData() []byte {
 // lineData returns ln's contents. Valid lines always have a buffer.
 func (c *L2) lineData(ln *line) []byte { return c.bufs[ln.buf-1] }
 
-// newBuf installs a private buffer for ln and returns its contents,
-// preferring a slot detached by an earlier invalidation. The buffer is NOT
-// zeroed: every caller overwrites the whole line (bus refill in fill, full
-// copy in own).
+// newBuf installs a private buffer for ln and returns its contents. A line
+// that holds a shared buffer keeps its slot, repointed at the new buffer:
+// the slot is this cache's alone even when the buffer is not. A line with
+// no buffer prefers a slot detached by an earlier invalidation. The buffer
+// is NOT zeroed: every caller overwrites the whole line (bus refill in
+// fill, full copy in own).
 func (c *L2) newBuf(ln *line) []byte {
+	if ln.buf != 0 {
+		d := c.newLineData()
+		c.bufs[ln.buf-1] = d
+		ln.shared = false
+		return d
+	}
 	if n := len(c.freeBufs); n > 0 {
 		idx := c.freeBufs[n-1]
 		c.freeBufs = c.freeBufs[:n-1]
@@ -843,6 +851,12 @@ func (c *L2) Clone(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	if c.defl != nil {
 		return c.inflate(clock, meter, b)
 	}
+	return c.clone(clock, meter, b, 0)
+}
+
+// clone is Clone of a dense cache, with room in the clone's bufs table for
+// extra more buffers (inflate's delta lines) so they land without regrowth.
+func (c *L2) clone(clock *sim.Clock, meter *sim.Meter, b *bus.Bus, extra int) *L2 {
 	// Mark every valid line's buffer shared in the parent first, so the slab
 	// memmove below propagates the flag to the clone in the same pass. A
 	// frozen cache had this done once by FreezeShared and must not be written
@@ -860,7 +874,7 @@ func (c *L2) Clone(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	n.stats = c.stats
 	n.master = c.master
 	n.indexKey = c.indexKey
-	n.bufs = append([][]byte(nil), c.bufs...)
+	n.bufs = append(make([][]byte, 0, len(c.bufs)+extra), c.bufs...)
 	n.freeBufs = append([]uint32(nil), c.freeBufs...)
 	// Free slots still hold reusable buffers on the parent side; the clone
 	// must not reuse those same buffers, so empty them in its table.
@@ -948,6 +962,7 @@ func (c *L2) Deflate(base *L2) int64 {
 		indexKey: c.indexKey, randomized: c.cfg.RandomizedIndex,
 	}
 	ls := c.cfg.LineSize
+	nvalid := 0
 	for s := 0; s < c.sets; s++ {
 		cm, bm := c.validMask[s], base.validMask[s]
 		for un := cm | bm; un != 0; {
@@ -972,7 +987,7 @@ func (c *L2) Deflate(base *L2) int64 {
 					set: int32(s), way: uint8(w), valid: true,
 					dirty: ln.dirty, holder: ln.holder, tag: ln.tag,
 				})
-				d.data = append(d.data, c.lineData(ln)[:ls]...)
+				nvalid++
 			default: // base holds a line here, this cache does not
 				d.recs = append(d.recs, deltaLine{set: int32(s), way: uint8(w)})
 			}
@@ -982,6 +997,12 @@ func (c *L2) Deflate(base *L2) int64 {
 			d.victimVals = append(d.victimVals, uint8(c.victim[s]))
 		}
 	}
+	d.data = make([]byte, 0, nvalid*ls)
+	for _, rec := range d.recs {
+		if rec.valid {
+			d.data = append(d.data, c.lineData(&c.lines[rec.set][rec.way])...)
+		}
+	}
 	c.defl = d
 	c.Release()
 	c.bufs, c.freeBufs, c.dataArena = nil, nil, nil
@@ -989,12 +1010,16 @@ func (c *L2) Deflate(base *L2) int64 {
 }
 
 // inflate reconstructs a dense cache from base+delta. The base is frozen, so
-// cloning it mutates nothing; delta lines are applied with private buffers.
+// cloning it mutates nothing. Delta lines take their contents from the
+// delta's packed data by reference, marked shared: the delta is immutable
+// once Deflate returns, so the first write to such a line copies it aside
+// (own) like a line shared with a clone, and the delta inflates again
+// unchanged.
 func (c *L2) inflate(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	d := c.defl
-	n := d.base.Clone(clock, meter, b)
+	ls := c.cfg.LineSize
+	n := d.base.clone(clock, meter, b, len(d.data)/ls)
 	data := d.data
-	ls := n.cfg.LineSize
 	for _, rec := range d.recs {
 		s, w := int(rec.set), int(rec.way)
 		ln := &n.lines[s][w]
@@ -1009,10 +1034,14 @@ func (c *L2) inflate(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 			}
 			continue
 		}
-		if ln.buf != 0 {
-			n.dropBuf(ln)
+		// A valid base line's buffer is shared, so its slot in the clone's
+		// table is this line's own to repoint.
+		if ln.buf == 0 {
+			n.bufs = append(n.bufs, nil)
+			ln.buf = uint32(len(n.bufs))
 		}
-		copy(n.newBuf(ln), data[:ls])
+		n.bufs[ln.buf-1] = data[:ls:ls]
+		ln.shared = true
 		data = data[ls:]
 		ln.valid, ln.dirty, ln.holder, ln.tag = true, rec.dirty, rec.holder, rec.tag
 		n.tags[s*n.cfg.Ways+w] = rec.tag

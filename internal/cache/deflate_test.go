@@ -131,3 +131,65 @@ func TestDeflateShrinksFootprint(t *testing.T) {
 	b := child.Clone(base.clock, base.meter, base.bus)
 	cachesIdentical(t, a, b)
 }
+
+// TestInflatedLineWritesCopyOut: an inflated cache takes its delta lines
+// from the parked delta by reference, so a write to such a line must copy
+// it aside. The delta's bytes stay intact, and a second inflate of the same
+// delta reproduces the parked cache.
+func TestInflatedLineWritesCopyOut(t *testing.T) {
+	base, _, _, _ := testRig(smallCfg)
+	base.Write(dramBase, []byte("boot line"))
+	base.FreezeShared()
+	child := base.Clone(base.clock, base.meter, base.bus)
+	child.Write(dramBase, []byte("parked, over a base line"))
+	child.Write(dramBase+0x40, []byte("parked, a line the base lacks"))
+	want := child.Clone(base.clock, base.meter, base.bus)
+	child.Deflate(base)
+	parked := append([]byte(nil), child.defl.data...)
+
+	a := child.Clone(base.clock, base.meter, base.bus)
+	a.Write(dramBase, []byte("XXXXXXXX"))
+	a.Write(dramBase+0x40, []byte("YYYYYYYY"))
+	if !bytes.Equal(child.defl.data, parked) {
+		t.Fatal("a write to an inflated line reached the parked delta")
+	}
+	cachesIdentical(t, want, child.Clone(base.clock, base.meter, base.bus))
+}
+
+// TestCopyOnWriteKeepsSlot: a write to, or a refill of, a line whose
+// buffer is shared with a frozen base repoints the line's own slot in the
+// bufs table, so a clone's table does not grow by one slot per shared line
+// it copies out, and the base keeps its bytes.
+func TestCopyOnWriteKeepsSlot(t *testing.T) {
+	const sets, ways = 32, 4 // smallCfg: a 4096-byte way
+	line := func(s, k int) mem.PhysAddr { return dramBase + mem.PhysAddr(s*32+k*4096) }
+	base, _, _, _ := testRig(smallCfg)
+	for s := 0; s < sets; s++ {
+		for k := 0; k < ways; k++ {
+			base.Write(line(s, k), []byte("boot"))
+		}
+	}
+	base.FreezeShared()
+	c := base.Clone(base.clock, base.meter, base.bus)
+	slots := len(c.bufs)
+	for s := 0; s < sets/2; s++ {
+		c.Write(line(s, 0), []byte("own!")) // a hit on a shared line: own
+	}
+	for s := sets / 2; s < sets; s++ {
+		c.Read(line(s, ways), make([]byte, 4)) // a miss in a full set: refill
+	}
+	if c.stats.Evictions != sets/2 {
+		t.Fatalf("%d evictions, want %d", c.stats.Evictions, sets/2)
+	}
+	if len(c.bufs) != slots {
+		t.Fatalf("bufs grew from %d to %d slots copying out shared lines", slots, len(c.bufs))
+	}
+	got := make([]byte, 4)
+	for s := 0; s < sets; s++ {
+		for k := 0; k < ways; k++ {
+			if !base.Snoop(line(s, k), got) || string(got) != "boot" {
+				t.Fatalf("base line (%d, %d) reads %q after the clone copied it out", s, k, got)
+			}
+		}
+	}
+}

@@ -738,10 +738,13 @@ func (w *World) FreezeBase() { w.S.FreezeBase() }
 
 // Deflate re-encodes the world's platform state as a delta against a
 // FreezeBase'd base world (soc.SoC.Deflate): only diverged memory pages and
-// cache lines are retained. The world must be parked — exclusively owned,
-// never applied to again; the next Fork reconstructs a byte-identical dense
-// copy.
-func (w *World) Deflate(base *World) int64 { return w.S.Deflate(base.S) }
+// cache lines are retained, and Sentry's page staging buffer is dropped.
+// The world must be parked — exclusively owned, never applied to again; the
+// next Fork reconstructs a byte-identical dense copy.
+func (w *World) Deflate(base *World) int64 {
+	w.Sn.ReleaseStaging()
+	return w.S.Deflate(base.S)
+}
 
 // Dead reports whether a terminal op (or fault) killed the device.
 func (w *World) Dead() bool { return w.dead }

@@ -106,7 +106,7 @@ func (sn *Sentry) BackgroundCapacityPages() int {
 
 // copyPage moves one page between physical locations through the CPU.
 func (sn *Sentry) copyPage(dst, src mem.PhysAddr) {
-	var page [mem.PageSize]byte
+	page := sn.stagingPage()
 	sn.S.CPU.ReadPhys(src, page[:])
 	sn.S.CPU.WritePhys(dst, page[:])
 }

@@ -139,6 +139,9 @@ type Sentry struct {
 	// faults is nil unless a fault injector is attached.
 	faults FaultProbe
 
+	// page stages one page for cryptPage and copyPage; see stagingPage.
+	page *[mem.PageSize]byte
+
 	// Activity counters live in the platform's metrics registry; Stats()
 	// rebuilds the legacy struct from them.
 	reg            *obs.Registry
@@ -410,7 +413,7 @@ func (sn *Sentry) epochFor(frame mem.PhysAddr, decrypt bool) uint64 {
 // is carried on the trace event so trace-derived reports can split volumes
 // the same way Stats does.
 func (sn *Sentry) cryptPage(addr, ivFrame mem.PhysAddr, decrypt bool, label string) {
-	var page [mem.PageSize]byte
+	page := sn.stagingPage()
 	startCycle := sn.S.Clock.Cycles()
 	sn.S.CPU.ReadPhys(addr, page[:])
 	iv := sn.pageIV(ivFrame, sn.epochFor(ivFrame, decrypt))
@@ -426,6 +429,21 @@ func (sn *Sentry) cryptPage(addr, ivFrame mem.PhysAddr, decrypt bool, label stri
 	sn.S.CPU.WritePhys(addr, page[:])
 	sn.observeCrypt(addr, decrypt, label, startCycle)
 }
+
+// stagingPage returns the host-side buffer a page passes through on its way
+// between two simulated locations, allocated on first use. Clone leaves it
+// nil, so a fork never shares its parent's buffer.
+func (sn *Sentry) stagingPage() *[mem.PageSize]byte {
+	if sn.page == nil {
+		sn.page = new([mem.PageSize]byte)
+	}
+	return sn.page
+}
+
+// ReleaseStaging drops the page staging buffer. A parked world calls it: it
+// never runs again (its forks allocate their own), so it need not hold a
+// page while it rests.
+func (sn *Sentry) ReleaseStaging() { sn.page = nil }
 
 // observeCrypt records one page seal/unseal: a latency observation and,
 // when tracing is on, a PageSeal/PageUnseal event whose Arg is the cycle

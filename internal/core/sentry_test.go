@@ -620,3 +620,43 @@ func TestRekeyBeforeSealOnly(t *testing.T) {
 		t.Fatal("secret corrupted across a seal cycle under the rekeyed root")
 	}
 }
+
+// TestStagingPageIsPerSentry: the page staging buffer cryptPage uses is
+// allocated on first use, never shared with a clone, and dropped by
+// ReleaseStaging; a Sentry that lost it allocates a fresh one.
+func TestStagingPageIsPerSentry(t *testing.T) {
+	sn, k, s := bootTegra(t, Config{})
+	p := k.NewProcess("mail", true, false)
+	base, _ := k.MapAnon(p, 2)
+	fillSecret(t, s, k, p, base, 2)
+	if sn.page != nil {
+		t.Fatal("staging page allocated before any page crypt")
+	}
+	k.Lock()
+	if sn.page == nil {
+		t.Fatal("lock encrypted pages without the staging page")
+	}
+	s2 := s.Fork()
+	k2, pm := k.Clone(s2)
+	sn2, err := sn.Clone(k2, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn2.page != nil {
+		t.Fatal("clone shares its parent's staging page")
+	}
+	sn.ReleaseStaging()
+	if sn.page != nil {
+		t.Fatal("ReleaseStaging kept the staging page")
+	}
+	if err := k2.Unlock(pin); err != nil {
+		t.Fatal(err)
+	}
+	k2.Switch(pm[p])
+	if err := s2.CPU.Load(base, make([]byte, 16)); err != nil { // demand-decrypts
+		t.Fatal(err)
+	}
+	if sn2.page == nil {
+		t.Fatal("clone decrypted pages without its own staging page")
+	}
+}

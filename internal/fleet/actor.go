@@ -246,11 +246,16 @@ func (a *actor) exit() {
 
 // hydrate restores the device from the slot's parked device: a fork, not
 // a boot — byte-identical to having stayed resident, and never counted as
-// a boot.
+// a boot. The parked record is dropped and its bytes leave the parked-bytes
+// gauge: the resident device is now the slot's only copy, and the next park
+// records a fresh one.
 func (a *actor) hydrate() {
 	d := a.sl.parked.Fork()
 	d.w.Sn.Metrics().BindOwner()
 	a.d = d
+	a.sl.parked = nil
+	a.f.gParkedBytes.Add(-a.sl.parkedBytes)
+	a.sl.parkedBytes = 0
 	a.f.ctrHydrations.Inc()
 }
 
@@ -266,8 +271,9 @@ func (a *actor) park() {
 	for _, r := range a.mbox.close(ErrShed) {
 		r.reply <- result{err: ErrShed}
 	}
+	// The slot holds no parked record here: the actor started by
+	// hydrating, which dropped it, or by booting, because there was none.
 	var bytes int64
-	a.sl.parked = nil
 	if a.d != nil && !a.d.w.Dead() {
 		if a.f.opt.testPark != nil {
 			bytes = a.f.opt.testPark(a.d)
@@ -276,7 +282,7 @@ func (a *actor) park() {
 		}
 		a.sl.parked = a.d
 	}
-	a.f.gParkedBytes.Add(bytes - a.sl.parkedBytes)
+	a.f.gParkedBytes.Add(bytes)
 	a.sl.parkedBytes = bytes
 	a.d = nil
 	a.sh.parkDone(a.sl)

@@ -128,7 +128,8 @@ func TestDeltaParkSoakIdentical(t *testing.T) {
 }
 
 // TestParkedBytesGaugeLifecycle: the gauge rises when a live device parks,
-// holds while it is parked, and replaces (not double-counts) on re-park.
+// holds while it is parked, replaces (not double-counts) on re-park, and
+// counts parked devices only: a hydrated device drops its parked record.
 func TestParkedBytesGaugeLifecycle(t *testing.T) {
 	f := Open(64, WithSeed(3), WithShards(1), WithResidentCap(1))
 	defer f.Stop()
@@ -164,6 +165,25 @@ func TestParkedBytesGaugeLifecycle(t *testing.T) {
 	b2 := f.Metrics().GaugeValue(MetricParkedBytes)
 	if b2 <= 0 || b2 > 5*b1/2 {
 		t.Fatalf("parked bytes after re-park cycles = %d (first park %d): gauge accumulates", b2, b1)
+	}
+	// Device 0 is parked and device 1 resident: the gauge is device 0's
+	// record alone, and device 1 holds no record of its last park.
+	record := func(id DeviceID) (*device, int64) {
+		sh, sl := f.peek(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sl.parked, sl.parkedBytes
+	}
+	p0, pb0 := record(0)
+	p1, pb1 := record(1)
+	if p0 == nil || pb0 <= 0 {
+		t.Fatalf("parked device 0 has record %v, %d bytes", p0 != nil, pb0)
+	}
+	if p1 != nil || pb1 != 0 {
+		t.Fatalf("resident device 1 still holds a parked record (%d bytes)", pb1)
+	}
+	if b2 != pb0 {
+		t.Fatalf("parked bytes = %d, want device 0's record %d", b2, pb0)
 	}
 }
 

@@ -67,10 +67,10 @@ const (
 	MetricHydrations = "fleet.hydrations"
 	MetricOverloads  = "fleet.overloads"
 	MetricResident   = "fleet.resident"
-	// MetricParkedBytes is the estimated resting cost of every parked
-	// snapshot currently retained, in bytes — delta-encoded parks charge
-	// only their divergence from the shared base. Updated at each park, so
-	// it reports resting cost as of the last park of each device.
+	// MetricParkedBytes is the estimated resting cost of the devices
+	// parked right now, in bytes: each parked delta charges only its
+	// divergence from the shared base. A park adds the device's record and
+	// a hydrate removes it, so resident devices count nothing.
 	MetricParkedBytes = "fleet.parked_bytes"
 )
 

@@ -42,10 +42,10 @@ type slot struct {
 	lruNext  *slot
 
 	parked *device
-	// parkedBytes is the estimated resting cost of sl.parked as of the
-	// last park; the delta against it keeps the fleet's parked-bytes gauge
-	// current. Owned by the parking actor (hand-off through the shard
-	// mutex), like parked itself.
+	// parkedBytes is the estimated resting cost of sl.parked, charged to
+	// the fleet's parked-bytes gauge at park and taken off it at hydrate,
+	// when parked is dropped. Owned by the actor (hand-off through the
+	// shard mutex), like parked itself.
 	parkedBytes int64
 
 	nextOp      atomic.Uint64

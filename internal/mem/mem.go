@@ -37,6 +37,12 @@ func PageBase(a PhysAddr) PhysAddr { return a &^ (PageSize - 1) }
 // concurrently forking from one sealed store is safe even though stores
 // themselves are single-owner.
 //
+// Rebase is the one place a frozen page enters the private layer: it keeps
+// every diverged page by pointer, including pages of the old base and one
+// shared zero page for every zero shadow. A rebased store therefore seals
+// before its first write materialises a page, so that write copies out of
+// the base like any other and no frozen page is ever written.
+//
 // A Store is not safe for concurrent use: each simulated platform is
 // single-threaded by design, and each experiment owns its platform. The
 // former per-access RWMutex bought nothing but cost on the hot path, so the
@@ -44,8 +50,14 @@ func PageBase(a PhysAddr) PhysAddr { return a &^ (PageSize - 1) }
 // the map lookup for the sequential streams that dominate the workloads.
 type Store struct {
 	size  uint64
-	pages map[uint64]*[PageSize]byte // private, writable pages
+	pages map[uint64]*[PageSize]byte // private pages, writable unless sealOnWrite
 	base  map[uint64]*[PageSize]byte // frozen COW layer; nil for a flat store
+	// sealOnWrite marks a rebased store whose private layer holds frozen
+	// pages: the next materialise seals first. It implies len(pages) > 0,
+	// so the Seal that clears it always merges; a sealed store with no
+	// private pages is never written by Seal, and forks of it may be taken
+	// concurrently. ZeroAll clears it too.
+	sealOnWrite bool
 
 	// Recently touched pages, direct-mapped by a multiplicative hash of the
 	// page number: access streams are sequential but interleave a few pages
@@ -84,7 +96,7 @@ func (s *Store) lookup(pn uint64) *[PageSize]byte {
 		return s.cachePage[slot]
 	}
 	p := s.pages[pn]
-	rw := p != nil
+	rw := p != nil && !s.sealOnWrite
 	if p == nil && s.base != nil {
 		p = s.base[pn]
 	}
@@ -100,6 +112,9 @@ func (s *Store) materialise(pn uint64) *[PageSize]byte {
 	slot := pageSlot(pn)
 	if s.cacheRW[slot] && s.cachePN[slot] == pn {
 		return s.cachePage[slot]
+	}
+	if s.sealOnWrite {
+		s.Seal()
 	}
 	p := s.pages[pn]
 	if p == nil {
@@ -134,6 +149,7 @@ func (s *Store) Seal() {
 	}
 	s.base = nb
 	s.pages = make(map[uint64]*[PageSize]byte)
+	s.sealOnWrite = false
 	s.cacheRW = [pageCacheSlots]bool{} // every cached page is now frozen
 }
 
@@ -207,7 +223,9 @@ func (s *Store) Write(off uint64, src []byte) {
 }
 
 // zeroPage is the comparison target for untouched (architecturally zero)
-// pages during Rebase.
+// pages during Rebase, and the one frozen page every zero shadow Rebase
+// keeps points at. Nothing writes it: it lives only in rebased private
+// layers and in base maps.
 var zeroPage [PageSize]byte
 
 // Rebase re-encodes the store as a delta against a sealed base store: after
@@ -217,6 +235,13 @@ var zeroPage [PageSize]byte
 // zeroed. Byte-for-byte contents are unchanged; only the representation is.
 // It returns the number of private delta pages retained, which is the
 // store's marginal memory cost over the shared base.
+//
+// Rebase copies no page: it keeps each diverged page by pointer, whether
+// private or inherited from the store's old base, and every zero shadow is
+// the shared zeroPage. Inherited pages are frozen, so the rebased store
+// seals before its next write (see sealOnWrite). A device parked, hydrated
+// (Fork folds the delta into a new base map) and parked again therefore
+// moves its delta by reference every cycle.
 //
 // This is the memory lever behind delta-encoded parked snapshots: a parked
 // device's stores drop their merged per-fork base maps (O(every page the
@@ -233,36 +258,23 @@ func (s *Store) Rebase(base *Store) int {
 		panic("mem: Rebase against an unsealed base (Seal it first)")
 	}
 	delta := make(map[uint64]*[PageSize]byte)
-	keep := func(pn uint64, p *[PageSize]byte, owned bool) {
-		if !owned {
-			cp := new([PageSize]byte)
-			if p != nil {
-				*cp = *p
-			}
-			p = cp
-		}
-		delta[pn] = p
+	diverged := func(pn uint64, p *[PageSize]byte) bool {
+		bp := base.base[pn]
+		return bp != p && ((bp == nil && *p != zeroPage) || (bp != nil && *p != *bp))
 	}
 	// Pages this store can see: private shadows first, then its old base.
 	for pn, p := range s.pages {
-		if bp := base.base[pn]; bp != p {
-			if (bp == nil && *p != zeroPage) || (bp != nil && *p != *bp) {
-				keep(pn, p, true) // private pages are exclusively owned
-			}
+		if diverged(pn, p) {
+			delta[pn] = p
 		}
 	}
 	for pn, p := range s.base {
-		if _, shadowed := s.pages[pn]; shadowed {
-			continue
-		}
-		if bp := base.base[pn]; bp != p {
-			if (bp == nil && *p != zeroPage) || (bp != nil && *p != *bp) {
-				keep(pn, p, false) // old-base pages are frozen and shared
-			}
+		if _, shadowed := s.pages[pn]; !shadowed && diverged(pn, p) {
+			delta[pn] = p
 		}
 	}
 	// Base pages this store has lost (ZeroAll, or never inherited): shadow
-	// them with explicit zero pages so reads keep returning zeroes.
+	// them with the zero page so reads keep returning zeroes.
 	for pn, bp := range base.base {
 		if _, ok := delta[pn]; ok {
 			continue
@@ -271,11 +283,12 @@ func (s *Store) Rebase(base *Store) int {
 			continue // visible above; already compared
 		}
 		if *bp != zeroPage {
-			keep(pn, nil, false)
+			delta[pn] = &zeroPage
 		}
 	}
 	s.pages = delta
 	s.base = base.base
+	s.sealOnWrite = len(delta) > 0
 	s.cachePN = [pageCacheSlots]uint64{}
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
@@ -293,6 +306,7 @@ func (s *Store) ResidentPages() int { return len(s.pages) + len(s.base) }
 func (s *Store) ZeroAll() {
 	s.pages = make(map[uint64]*[PageSize]byte)
 	s.base = nil
+	s.sealOnWrite = false
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
 }

@@ -120,3 +120,100 @@ func TestRebaseQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rebaseFixture seals a four-page boot image and returns it.
+func rebaseFixture() *Store {
+	base := NewStore(1 << 20)
+	for i := 0; i < 4; i++ {
+		fillPattern(base, uint64(i)*PageSize, PageSize, byte(i+1))
+	}
+	base.Seal()
+	return base
+}
+
+// TestRebaseMovesDeltaByReference: a park (Rebase), the hydrate after it
+// (Fork) and the next park copy no page. Pages inherited from the hydrated
+// delta and pages written since are kept by pointer, and every zero shadow
+// is the one shared zero page.
+func TestRebaseMovesDeltaByReference(t *testing.T) {
+	base := rebaseFixture()
+	s := base.Fork()
+	fillPattern(s, 1*PageSize, 64, 0xA0) // diverge a base page
+	fillPattern(s, 9*PageSize, 64, 0xB0) // a page the base never touched
+	if n := s.Rebase(base); n != 2 {
+		t.Fatalf("first park kept %d pages, want 2", n)
+	}
+	parked := map[uint64]*[PageSize]byte{}
+	for pn, p := range s.pages {
+		parked[pn] = p
+	}
+
+	h := s.Fork()                         // hydrate: the delta folds into h's base
+	fillPattern(h, 10*PageSize, 64, 0xC0) // written after the hydrate
+	written := h.pages[10]
+	if n := h.Rebase(base); n != 3 {
+		t.Fatalf("second park kept %d pages, want 3", n)
+	}
+	for pn, p := range parked {
+		if h.pages[pn] != p {
+			t.Fatalf("page %d was copied on the second park", pn)
+		}
+	}
+	if h.pages[10] != written {
+		t.Fatal("a page written since the hydrate was copied on park")
+	}
+
+	z := base.Fork()
+	z.ZeroAll()
+	z.Rebase(base)
+	for pn := uint64(0); pn < 4; pn++ {
+		if z.pages[pn] != &zeroPage {
+			t.Fatalf("zero shadow of page %d is not the shared zero page", pn)
+		}
+	}
+}
+
+// TestRebasedStoreWritesCopyOut: a rebased store's private layer holds
+// frozen pages, so a write to it — to an inherited delta page, read first
+// or not, or to a shared zero shadow — copies out and reaches neither the
+// hydrated fork that shares the page, the frozen page itself, nor another
+// store.
+func TestRebasedStoreWritesCopyOut(t *testing.T) {
+	base := rebaseFixture()
+	s := base.Fork()
+	fillPattern(s, 1*PageSize, 64, 0xA0)
+	fillPattern(s, 2*PageSize, 64, 0xB0)
+	s.Rebase(base)
+	h := s.Fork()
+	h.Rebase(base) // h's delta pages are s's sealed pages, by pointer
+	frozen1, frozen2 := *h.pages[1], *h.pages[2]
+
+	h.ByteAt(1 * PageSize) // a read first caches the page for the write path
+	h.SetByte(1*PageSize, 0xEE)
+	h.Write(2*PageSize, []byte{0xEE, 0xEE})
+	if h.ByteAt(1*PageSize) != 0xEE || h.ByteAt(2*PageSize) != 0xEE {
+		t.Fatal("write to the rebased store was lost")
+	}
+	if s.ByteAt(1*PageSize) != 0xA0 || s.ByteAt(2*PageSize) != 0xB0 {
+		t.Fatal("write to the rebased store reached the store it was forked from")
+	}
+	if *s.base[1] != frozen1 || *s.base[2] != frozen2 {
+		t.Fatal("write to the rebased store mutated a frozen page")
+	}
+
+	z1, z2 := base.Fork(), base.Fork()
+	z1.ZeroAll()
+	z2.ZeroAll()
+	z1.Rebase(base)
+	z2.Rebase(base)
+	z1.SetByte(3*PageSize+7, 0x5A)
+	if z1.ByteAt(3*PageSize+7) != 0x5A {
+		t.Fatal("write to a zero shadow was lost")
+	}
+	if z2.ByteAt(3*PageSize+7) != 0 || zeroPage != [PageSize]byte{} {
+		t.Fatal("write to a zero shadow reached the shared zero page")
+	}
+	if base.ByteAt(3*PageSize+7) != 4+7 {
+		t.Fatal("write to a zero shadow reached the base")
+	}
+}
